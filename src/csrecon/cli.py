@@ -7,11 +7,11 @@ Exit codes: 0 success, 2 configuration error, 3 empty support,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
+from .csvio import fmt, write_csv
 from .hw_datapath import reconstruct_hardware, write_trace_csv
 from .hw_primitives import log_lut_entries
 from .montecarlo import (
@@ -45,10 +45,6 @@ EXIT_EMPTY_SUPPORT = 3
 EXIT_LINALG = 4
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_tones(text: str, n: int, seed: int | None) -> list[tuple[float, int]]:
     """Parse the tone grammar: 'A@k[,A@k...]' or 'random:K:lo:hi'."""
     text = text.strip()
@@ -77,18 +73,15 @@ def _spec_from_args(args) -> SparseSpec:
     return SparseSpec(n=args.n, components=_parse_tones(tones_text, args.n, args.seed))
 
 
-def _write_metrics_csv(path, metrics: Metrics) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["support_exact", "precision", "recall", "rel_mse_time",
-             "threshold", "variance", "n_detected"]
-        )
-        writer.writerow(
-            [str(metrics.support_exact).lower(), _fmt(metrics.precision),
-             _fmt(metrics.recall), _fmt(metrics.rel_mse_time),
-             _fmt(metrics.threshold), _fmt(metrics.variance), metrics.n_detected]
-        )
+_METRICS_HEADER = ("support_exact", "precision", "recall", "rel_mse_time",
+                   "threshold", "variance", "n_detected")
+
+
+def _metrics_row(metrics: Metrics) -> list:
+    """The metrics CSV row; ``recon`` also prints it as key=value pairs."""
+    return [str(metrics.support_exact).lower(), fmt(metrics.precision),
+            fmt(metrics.recall), fmt(metrics.rel_mse_time),
+            fmt(metrics.threshold), fmt(metrics.variance), metrics.n_detected]
 
 
 def cmd_gen(args) -> int:
@@ -118,15 +111,9 @@ def cmd_recon(args) -> int:
         result = reconstruct(meas, cfg, ssa)
     write_spectrum_csv(f"{args.out}.spectrum.csv", result.spectrum)
     write_detection_csv(f"{args.out}.detection.csv", result.detection)
-    metrics = compute_metrics(result, x, true_support)
-    _write_metrics_csv(f"{args.out}.metrics.csv", metrics)
-    print(
-        f"support_exact={str(metrics.support_exact).lower()} "
-        f"precision={_fmt(metrics.precision)} recall={_fmt(metrics.recall)} "
-        f"rel_mse_time={_fmt(metrics.rel_mse_time)} "
-        f"threshold={_fmt(metrics.threshold)} variance={_fmt(metrics.variance)} "
-        f"n_detected={metrics.n_detected}"
-    )
+    row = _metrics_row(compute_metrics(result, x, true_support))
+    write_csv(f"{args.out}.metrics.csv", _METRICS_HEADER, [row])
+    print(" ".join(f"{key}={value}" for key, value in zip(_METRICS_HEADER, row)))
     if result.empty_support:
         print("no bins above threshold", file=sys.stderr)
         return EXIT_EMPTY_SUPPORT
@@ -139,28 +126,28 @@ def cmd_calibrate(args) -> int:
     spec = _spec_from_args(args)
     cfg = ThresholdConfig(p=args.p, variant=args.variant)
     report = run_variance_calibration(spec, args.na, cfg, args.trials, args.seed)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "trial", "seed", "threshold", "model_variance",
-             "noise_power_mean", "noise_mag_max", "all_below"]
-        )
-        for row in report.trials:
-            writer.writerow(
-                ["trial", row.trial, row.seed, _fmt(report.threshold),
-                 _fmt(report.model_variance), _fmt(row.noise_power_mean),
-                 _fmt(row.noise_mag_max), int(row.all_below)]
-            )
-        writer.writerow(
-            ["summary", len(report.trials), "", _fmt(report.threshold),
-             _fmt(report.model_variance), _fmt(report.empirical_variance),
-             _fmt(max(r.noise_mag_max for r in report.trials)),
-             _fmt(report.p_hat)]
-        )
+    rows = [
+        ["trial", row.trial, row.seed, fmt(report.threshold),
+         fmt(report.model_variance), fmt(row.noise_power_mean),
+         fmt(row.noise_mag_max), int(row.all_below)]
+        for row in report.trials
+    ]
+    rows.append(
+        ["summary", len(report.trials), "", fmt(report.threshold),
+         fmt(report.model_variance), fmt(report.empirical_variance),
+         fmt(max(r.noise_mag_max for r in report.trials)),
+         fmt(report.p_hat)]
+    )
+    write_csv(
+        args.out,
+        ["kind", "trial", "seed", "threshold", "model_variance",
+         "noise_power_mean", "noise_mag_max", "all_below"],
+        rows,
+    )
     print(
-        f"empirical_variance={_fmt(report.empirical_variance)} "
-        f"model_variance={_fmt(report.model_variance)} "
-        f"p_hat={_fmt(report.p_hat)} threshold={_fmt(report.threshold)}"
+        f"empirical_variance={fmt(report.empirical_variance)} "
+        f"model_variance={fmt(report.model_variance)} "
+        f"p_hat={fmt(report.p_hat)} threshold={fmt(report.threshold)}"
     )
     return EXIT_OK
 
@@ -169,38 +156,33 @@ def cmd_xcheck(args) -> int:
     spec = _spec_from_args(args)
     cfg = ThresholdConfig(p=args.p, variant=args.variant)
     report = run_threshold_xcheck(spec, args.na, cfg, args.trials, args.seed)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "trial", "seed", "threshold_ref", "threshold_fixed",
-             "rel_err", "support_match"]
-        )
-        for row in report.trials:
-            writer.writerow(
-                ["trial", row.trial, row.seed, _fmt(row.threshold_ref),
-                 _fmt(row.threshold_fixed), _fmt(row.rel_err),
-                 int(row.support_match)]
-            )
-        first = report.trials[0]
-        writer.writerow(
-            ["summary", len(report.trials), "", _fmt(first.threshold_ref),
-             _fmt(first.threshold_fixed), _fmt(report.max_rel_err),
-             _fmt(report.agreement_rate)]
-        )
+    rows = [
+        ["trial", row.trial, row.seed, fmt(row.threshold_ref),
+         fmt(row.threshold_fixed), fmt(row.rel_err), int(row.support_match)]
+        for row in report.trials
+    ]
+    first = report.trials[0]
+    rows.append(
+        ["summary", len(report.trials), "", fmt(first.threshold_ref),
+         fmt(first.threshold_fixed), fmt(report.max_rel_err),
+         fmt(report.agreement_rate)]
+    )
+    write_csv(
+        args.out,
+        ["kind", "trial", "seed", "threshold_ref", "threshold_fixed",
+         "rel_err", "support_match"],
+        rows,
+    )
     print(
-        f"max_rel_err={_fmt(report.max_rel_err)} "
-        f"agreement_rate={_fmt(report.agreement_rate)}"
+        f"max_rel_err={fmt(report.max_rel_err)} "
+        f"agreement_rate={fmt(report.agreement_rate)}"
     )
     return EXIT_OK
 
 
 def cmd_dump_lut(args) -> int:
     entries = log_lut_entries()
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(entries):
-            writer.writerow([i, int(v)])
+    write_csv(args.out, ["index", "value"], ([i, int(v)] for i, v in enumerate(entries)))
     print(f"wrote {args.out}: {entries.size} entries")
     return EXIT_OK
 
@@ -236,27 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_recon.add_argument("--out", required=True, help="output file prefix")
     p_recon.set_defaults(func=cmd_recon)
 
-    p_cal = sub.add_parser("calibrate", help="Monte-Carlo noise model calibration")
-    p_cal.add_argument("--n", type=int, required=True)
-    p_cal.add_argument("--na", type=int, required=True)
-    _add_tone_flags(p_cal)
-    p_cal.add_argument("--p", type=float, required=True)
-    p_cal.add_argument("--variant", choices=["paper", "ref10"], default="ref10")
-    p_cal.add_argument("--trials", type=int, required=True)
-    p_cal.add_argument("--seed", type=int, required=True)
-    p_cal.add_argument("--out", required=True)
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_x = sub.add_parser("xcheck", help="reference vs fixed-point threshold check")
-    p_x.add_argument("--n", type=int, required=True)
-    p_x.add_argument("--na", type=int, required=True)
-    _add_tone_flags(p_x)
-    p_x.add_argument("--p", type=float, required=True)
-    p_x.add_argument("--variant", choices=["paper", "ref10"], default="ref10")
-    p_x.add_argument("--trials", type=int, required=True)
-    p_x.add_argument("--seed", type=int, required=True)
-    p_x.add_argument("--out", required=True)
-    p_x.set_defaults(func=cmd_xcheck)
+    for name, help_text, func in (
+        ("calibrate", "Monte-Carlo noise model calibration", cmd_calibrate),
+        ("xcheck", "reference vs fixed-point threshold check", cmd_xcheck),
+    ):
+        p_sweep = sub.add_parser(name, help=help_text)
+        p_sweep.add_argument("--n", type=int, required=True)
+        p_sweep.add_argument("--na", type=int, required=True)
+        _add_tone_flags(p_sweep)
+        p_sweep.add_argument("--p", type=float, required=True)
+        p_sweep.add_argument("--variant", choices=["paper", "ref10"], default="ref10")
+        p_sweep.add_argument("--trials", type=int, required=True)
+        p_sweep.add_argument("--seed", type=int, required=True)
+        p_sweep.add_argument("--out", required=True)
+        p_sweep.set_defaults(func=func)
 
     p_lut = sub.add_parser("dump-lut", help="dump the log table as index,value CSV")
     p_lut.add_argument("--out", required=True)

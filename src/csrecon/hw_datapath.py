@@ -9,29 +9,24 @@ double precision; only the log and root stages are bit-true.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .csvio import fmt, write_csv
 from .hw_primitives import FixedLog, SqrtResult, lut_log2, nr_sqrt
 from .recon_core import (
-    AmpMode,
-    DetectionResult,
     ReconstructionResult,
     ThresholdConfig,
     ThresholdVariant,
-    build_cs_matrix,
-    effective_threshold,
-    idft,
-    initial_dft,
-    ls_solve,
+    _detect,
+    _solve,
+    initial_dft,  # noqa: F401  bench/tests/test_bench.py checks spans wrap this binding too
     missing_noise_variance,
-    spectral_positioning,
 )
-from .signal_model import Measurement, estimate_sum_sq_amplitudes
+from .signal_model import Measurement, SamplingPattern
 
 __all__ = [
     "ComparatorBits",
@@ -46,7 +41,6 @@ __all__ = [
 
 _LOG2_10 = math.log2(10.0)
 _LN_10 = math.log(10.0)
-_U32_MAX = (1 << 32) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,17 +103,14 @@ def threshold_fixed(
     rescaling exact. Stays within 1e-3 relative of the double-precision
     threshold across the supported variance range.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
-    variant = ThresholdVariant(variant)
+    cfg = ThresholdConfig(p=p, variant=variant)
     var = missing_noise_variance(n, n_a, sum_sq_amp)
 
     # the n-th root of p has no dedicated hardware unit; host precision
-    u = 1.0 - math.exp(math.log(p) / n)
+    u = 1.0 - math.exp(math.log(cfg.p) / n)
     log_term = lut_log2(u)
     log10_u = log_term.value / _LOG2_10
-    if variant is ThresholdVariant.PAPER:
+    if cfg.variant is ThresholdVariant.PAPER:
         root_arg = -(var * var) * log10_u
     else:
         root_arg = -var * (log10_u * _LN_10)
@@ -135,11 +126,10 @@ def threshold_fixed(
         if shift % 2:
             shift += 1
         root_in = round(math.ldexp(root_arg, shift))
-        assert 0 <= root_in <= _U32_MAX, "prescaled root input left 32-bit range"
         root_out = nr_sqrt(root_in)
         root_value = math.ldexp(root_out.root, -(shift // 2))
 
-    t_fixed = root_value / n if variant is ThresholdVariant.PAPER else root_value
+    t_fixed = root_value / n if cfg.variant is ThresholdVariant.PAPER else root_value
     return FixedThresholdTrace(
         var_fixed=round(math.ldexp(var, 15)),
         log_term=log_term,
@@ -158,26 +148,22 @@ def comparator(v_spec: np.ndarray, t: float) -> ComparatorBits:
     return ComparatorBits(bits=(np.abs(v_spec) > t).astype(np.uint8))
 
 
+def _fixed_threshold(pattern: SamplingPattern, ssa: float, var: float, cfg: ThresholdConfig):
+    """Threshold stage of the hardware pipeline: the datapath and its trace."""
+    trace = threshold_fixed(pattern.n, pattern.n_a, ssa, cfg.p, cfg.variant)
+    return trace.t_fixed, trace
+
+
 def part1_pipeline(
     meas: Measurement,
     cfg: ThresholdConfig,
     sum_sq_amp: float | None = None,
 ) -> Part1Result:
-    """Detection front end: initial DFT, fixed-point threshold, comparator.
-
-    The comparator level is floored at the transform's rounding-dust scale,
-    mirroring the reference pipeline's zero-variance behavior.
-    """
-    v_spec = initial_dft(meas)
-    if cfg.amp_mode is AmpMode.ORACLE:
-        if sum_sq_amp is None:
-            raise ValueError("oracle amplitude mode requires sum_sq_amp")
-        ssa = float(sum_sq_amp)
-    else:
-        ssa = estimate_sum_sq_amplitudes(meas)
-    trace = threshold_fixed(meas.pattern.n, meas.pattern.n_a, ssa, cfg.p, cfg.variant)
-    bits = comparator(v_spec, effective_threshold(trace.t_fixed, v_spec))
-    return Part1Result(bits=bits, trace=trace, spectrum=v_spec)
+    """Detection front end: initial DFT, fixed-point threshold, comparator."""
+    detection, v_spec, trace = _detect(meas, cfg, sum_sq_amp, _fixed_threshold)
+    bits = np.zeros(meas.pattern.n, dtype=np.uint8)
+    bits[detection.positions] = 1
+    return Part1Result(bits=ComparatorBits(bits=bits), trace=trace, spectrum=v_spec)
 
 
 def reconstruct_hardware(
@@ -187,57 +173,23 @@ def reconstruct_hardware(
 ) -> tuple[ReconstructionResult, FixedThresholdTrace]:
     """Full reconstruction with detection driven by the fixed-point path.
 
-    The matrix arithmetic past the comparator is the shared double-precision
-    implementation; only the threshold stage differs from the reference.
+    Runs the reference pipeline with the fixed-point threshold stage in
+    place of the double-precision one; nothing else differs.
     """
-    bits, trace, _ = part1_pipeline(meas, cfg, sum_sq_amp)
-    n = meas.pattern.n
-    pos = bits.positions()
-    if cfg.amp_mode is AmpMode.ORACLE:
-        ssa = float(sum_sq_amp)  # validated inside part1_pipeline
-    else:
-        ssa = estimate_sum_sq_amplitudes(meas)
-    var = missing_noise_variance(n, meas.pattern.n_a, ssa)
-    detection = DetectionResult(threshold=trace.t_fixed, variance=var, positions=pos)
-    if pos.size == 0:
-        zeros = np.zeros(n, dtype=complex)
-        result = ReconstructionResult(
-            amplitudes=np.zeros(0, dtype=complex),
-            spectrum=zeros,
-            time_signal=zeros.copy(),
-            detection=detection,
-            empty_support=True,
-        )
-        return result, trace
-    a_cs = build_cs_matrix(n, meas.pattern, pos)
-    x_tp = ls_solve(a_cs, meas.values)
-    spectrum = spectral_positioning(x_tp, pos, n)
-    result = ReconstructionResult(
-        amplitudes=x_tp,
-        spectrum=spectrum,
-        time_signal=idft(spectrum),
-        detection=detection,
-    )
-    return result, trace
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    detection, _, trace = _detect(meas, cfg, sum_sq_amp, _fixed_threshold)
+    return _solve(meas, detection), trace
 
 
 def write_trace_csv(path, trace: FixedThresholdTrace) -> None:
     """Dump the threshold datapath stages as ``stage,raw_value,scaled_value``."""
     half_shift = trace.scale_shift // 2
     rows = [
-        ("variance", trace.var_fixed, _fmt(math.ldexp(trace.var_fixed, -15))),
-        ("log2_term", trace.log_term.raw, _fmt(trace.log_term.value)),
-        ("root_in", trace.root_in, _fmt(math.ldexp(trace.root_in, -trace.scale_shift))),
-        ("root", trace.root_out.root, _fmt(math.ldexp(trace.root_out.root, -half_shift))),
-        ("remainder", trace.root_out.remainder, _fmt(math.ldexp(trace.root_out.remainder, -trace.scale_shift))),
+        ("variance", trace.var_fixed, fmt(math.ldexp(trace.var_fixed, -15))),
+        ("log2_term", trace.log_term.raw, fmt(trace.log_term.value)),
+        ("root_in", trace.root_in, fmt(math.ldexp(trace.root_in, -trace.scale_shift))),
+        ("root", trace.root_out.root, fmt(math.ldexp(trace.root_out.root, -half_shift))),
+        ("remainder", trace.root_out.remainder, fmt(math.ldexp(trace.root_out.remainder, -trace.scale_shift))),
         ("scale_shift", trace.scale_shift, str(trace.scale_shift)),
-        ("threshold", "", _fmt(trace.t_fixed)),
+        ("threshold", "", fmt(trace.t_fixed)),
     ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "raw_value", "scaled_value"])
-        writer.writerows(rows)
+    write_csv(path, ["stage", "raw_value", "scaled_value"], rows)

@@ -17,6 +17,7 @@ from .recon_core import (
     ReconstructionResult,
     ThresholdConfig,
     detect_positions,
+    effective_threshold,
     initial_dft,
     missing_noise_variance,
     reconstruct,
@@ -223,8 +224,8 @@ def run_threshold_xcheck(
         seed = derive_trial_seed(master_seed, trial)
         meas = sample(x, random_pattern(spec.n, n_a, seed))
         v_spec = initial_dft(meas)
-        pos_ref = detect_positions(v_spec, t_ref)
-        pos_fix = detect_positions(v_spec, t_fix)
+        pos_ref = detect_positions(v_spec, effective_threshold(t_ref, v_spec))
+        pos_fix = detect_positions(v_spec, effective_threshold(t_fix, v_spec))
         match = bool(np.array_equal(pos_ref, pos_fix))
         matches += match
         rows.append(

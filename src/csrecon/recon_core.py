@@ -11,13 +11,13 @@ counterpart of the threshold stage lives in :mod:`csrecon.hw_datapath`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .csvio import fmt, write_csv
 from .signal_model import Measurement, SamplingPattern, estimate_sum_sq_amplitudes
 
 __all__ = [
@@ -159,8 +159,8 @@ def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
         raise ValueError(f"signal length must be at least 2, got {n}")
     if not 1 <= n_a <= n:
         raise ValueError(f"available count {n_a} outside [1, {n}]")
-    if sum_sq_amp < 0.0:
-        raise ValueError(f"sum of squared amplitudes must be nonnegative, got {sum_sq_amp}")
+    if not (math.isfinite(sum_sq_amp) and sum_sq_amp >= 0.0):
+        raise ValueError(f"sum of squared amplitudes must be finite and nonnegative, got {sum_sq_amp}")
     return (n - n_a) * n_a / (n - 1) * sum_sq_amp
 
 
@@ -303,19 +303,18 @@ def idft(x_spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.asarray(x_spec, dtype=complex))
 
 
-def reconstruct(
-    meas: Measurement,
-    cfg: ThresholdConfig,
-    sum_sq_amp: float | None = None,
-) -> ReconstructionResult:
-    """Run the full pipeline on one measurement.
+def _reference_threshold(pattern: SamplingPattern, ssa: float, var: float, cfg: ThresholdConfig):
+    """Threshold stage of the reference pipeline: the closed form, no record."""
+    return threshold(var, pattern.n, cfg), None
 
-    ``sum_sq_amp`` is required in oracle amplitude mode and ignored in
-    estimate mode, where the measurement power supplies it. An empty support
-    is a legitimate outcome reported through ``empty_support`` with a zero
-    spectrum; underdetermined and singular systems raise instead.
+
+def _detect(meas: Measurement, cfg: ThresholdConfig, sum_sq_amp: float | None, threshold_stage):
+    """Part 1 of both pipelines: initial DFT, variance, threshold, comparator.
+
+    ``threshold_stage(pattern, ssa, var, cfg)`` is the one stage the two
+    pipelines do not share; it returns the threshold and a record of how it
+    was computed. Returns the detection, the initial DFT and that record.
     """
-    n = meas.pattern.n
     v_spec = initial_dft(meas)
     if cfg.amp_mode is AmpMode.ORACLE:
         if sum_sq_amp is None:
@@ -323,10 +322,16 @@ def reconstruct(
         ssa = float(sum_sq_amp)
     else:
         ssa = estimate_sum_sq_amplitudes(meas)
-    var = missing_noise_variance(n, meas.pattern.n_a, ssa)
-    t = threshold(var, n, cfg)
+    var = missing_noise_variance(meas.pattern.n, meas.pattern.n_a, ssa)
+    t, record = threshold_stage(meas.pattern, ssa, var, cfg)
     pos = detect_positions(v_spec, effective_threshold(t, v_spec))
-    detection = DetectionResult(threshold=t, variance=var, positions=pos)
+    return DetectionResult(threshold=t, variance=var, positions=pos), v_spec, record
+
+
+def _solve(meas: Measurement, detection: DetectionResult) -> ReconstructionResult:
+    """Parts 2 and 3: least squares on the detected bins, then the inverse DFT."""
+    n = meas.pattern.n
+    pos = detection.positions
     if pos.size == 0:
         zeros = np.zeros(n, dtype=complex)
         return ReconstructionResult(
@@ -347,30 +352,37 @@ def reconstruct(
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def reconstruct(
+    meas: Measurement,
+    cfg: ThresholdConfig,
+    sum_sq_amp: float | None = None,
+) -> ReconstructionResult:
+    """Run the full pipeline on one measurement.
+
+    ``sum_sq_amp`` is required in oracle amplitude mode and ignored in
+    estimate mode, where the measurement power supplies it. An empty support
+    is a legitimate outcome reported through ``empty_support`` with a zero
+    spectrum; underdetermined and singular systems raise instead.
+    """
+    detection, _, _ = _detect(meas, cfg, sum_sq_amp, _reference_threshold)
+    return _solve(meas, detection)
 
 
 def write_spectrum_csv(path, spectrum: np.ndarray) -> None:
     """Write a spectrum as ``bin,re,im,magnitude`` rows."""
     spectrum = np.asarray(spectrum, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "re", "im", "magnitude"])
-        for i, v in enumerate(spectrum):
-            writer.writerow([i, _fmt(v.real), _fmt(v.imag), _fmt(abs(v))])
+    write_csv(
+        path,
+        ["bin", "re", "im", "magnitude"],
+        ([i, fmt(v.real), fmt(v.imag), fmt(abs(v))] for i, v in enumerate(spectrum)),
+    )
 
 
 def write_detection_csv(path, detection: DetectionResult) -> None:
     """Write a one-row detection summary; positions are semicolon-separated."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "variance", "n_detected", "positions"])
-        writer.writerow(
-            [
-                _fmt(detection.threshold),
-                _fmt(detection.variance),
-                detection.n_detected,
-                ";".join(str(int(p)) for p in detection.positions),
-            ]
-        )
+    write_csv(
+        path,
+        ["threshold", "variance", "n_detected", "positions"],
+        [[fmt(detection.threshold), fmt(detection.variance), detection.n_detected,
+          ";".join(str(int(p)) for p in detection.positions)]],
+    )

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import fmt, write_csv
+
 __all__ = [
     "SparseSpec",
     "SamplingPattern",
@@ -119,6 +121,8 @@ class Measurement:
             raise ValueError(
                 f"expected {self.pattern.n_a} values, got {vals.size}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("measurement values must be finite")
 
 
 def synthesize(spec: SparseSpec) -> np.ndarray:
@@ -170,18 +174,14 @@ def estimate_sum_sq_amplitudes(meas: Measurement) -> float:
     return float(np.mean(np.abs(meas.values) ** 2))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_signal_csv(path, samples: np.ndarray) -> None:
     """Write a complex signal as ``index,re,im`` rows."""
     samples = np.asarray(samples, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, v in enumerate(samples):
-            writer.writerow([i, _fmt(v.real), _fmt(v.imag)])
+    write_csv(
+        path,
+        ["index", "re", "im"],
+        ([i, fmt(v.real), fmt(v.imag)] for i, v in enumerate(samples)),
+    )
 
 
 def read_signal_csv(path) -> np.ndarray:

@@ -138,6 +138,16 @@ class TestRecon:
                    "--seed", "0", "--out", str(tmp_path / "under"))
         assert code == 4
 
+    @pytest.mark.parametrize("path", ["reference", "hardware"])
+    def test_nan_sample_is_config_error(self, tmp_path, path):
+        sig = tmp_path / "nan.csv"
+        rows = ["index,re,im"] + [f"{i},1,0" for i in range(16)]
+        rows[4] = "3,nan,0"
+        sig.write_text("\n".join(rows) + "\n")
+        code = run("recon", "--in", str(sig), "--na", "8", "--p", "0.99",
+                   "--seed", "0", "--path", path, "--out", str(tmp_path / "nan"))
+        assert code == 2
+
     def test_na_too_large_is_config_error(self, tmp_path, three_tone_signal):
         code = run("recon", "--in", str(three_tone_signal), "--na", "257",
                    "--p", "0.99", "--seed", "0", "--out", str(tmp_path / "x"))

@@ -121,6 +121,12 @@ class TestSample:
         pat = SamplingPattern(n=6, positions=[5, 0, 3])
         np.testing.assert_array_equal(sample(x, pat).values, [5, 0, 3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_values_rejected(self, bad):
+        pat = SamplingPattern(n=4, positions=[0, 2])
+        with pytest.raises(ValueError, match="finite"):
+            Measurement(values=[1.0, bad], pattern=pat)
+
 
 class TestSamplingPatternValidation:
     def test_duplicates_rejected(self):

@@ -1,0 +1,78 @@
+"""Fingerprint the csrecon CLI on a fixed command set.
+
+Runs every command below with ``python -m csrecon.cli`` from this checkout's
+``src/``, all in one fresh temporary directory, and prints one
+``<sha256>  <name>`` line for each command's stdout, stderr and exit code,
+then for every file the commands wrote. Two checkouts that print the same
+lines produce byte-identical CLI results; a differing line names the output
+that moved.
+
+    python tools/cli_digest.py > digests.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# (name, argv); later commands read the signals the first two write
+COMMANDS = (
+    ("gen-tones", ["gen", "--n", "256", "--tones", "1@10,1@60,1@201", "--out", "sig.csv"]),
+    ("gen-random", ["gen", "--n", "256", "--tones", "random:5:0.5:2.0", "--seed", "7",
+                    "--out", "rand.csv"]),
+    ("recon-reference", ["recon", "--in", "sig.csv", "--na", "128", "--p", "0.99",
+                         "--seed", "1", "--out", "ref"]),
+    ("recon-hardware", ["recon", "--in", "rand.csv", "--na", "128", "--p", "0.99",
+                        "--seed", "1", "--path", "hardware", "--out", "hw"]),
+    ("recon-estimate-paper-hardware", ["recon", "--in", "rand.csv", "--na", "128",
+                                       "--p", "0.99", "--seed", "2", "--variant", "paper",
+                                       "--amp-mode", "estimate", "--path", "hardware",
+                                       "--out", "est"]),
+    ("recon-full-sampling", ["recon", "--in", "sig.csv", "--na", "256", "--p", "0.99",
+                             "--seed", "0", "--out", "full"]),
+    ("gen-two-tones", ["gen", "--n", "16", "--tones", "1@1,1@5", "--out", "two.csv"]),
+    ("recon-empty-support", ["recon", "--in", "two.csv", "--na", "1", "--p", "0.99",
+                             "--seed", "0", "--out", "empty"]),
+    ("calibrate", ["calibrate", "--n", "128", "--na", "64", "--tones", "1@37", "--p", "0.9",
+                   "--trials", "200", "--seed", "7", "--out", "cal.csv"]),
+    ("xcheck-ref10", ["xcheck", "--n", "256", "--na", "128", "--k", "3", "--p", "0.99",
+                      "--trials", "50", "--seed", "11", "--out", "xc.csv"]),
+    ("xcheck-paper", ["xcheck", "--n", "256", "--na", "128", "--k", "3", "--p", "0.99",
+                      "--variant", "paper", "--trials", "50", "--seed", "11",
+                      "--out", "xcp.csv"]),
+    ("dump-lut", ["dump-lut", "--out", "lut.csv"]),
+    ("recon-invalid-p", ["recon", "--in", "sig.csv", "--na", "128", "--p", "1.5",
+                         "--seed", "1", "--out", "bad"]),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    lines = []
+    with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
+        for name, argv in COMMANDS:
+            done = subprocess.run(
+                [sys.executable, "-m", "csrecon.cli", *argv],
+                cwd=tmp, env=env, capture_output=True, check=False,
+            )
+            lines.append(f"{_sha(done.stdout)}  {name}.stdout")
+            lines.append(f"{_sha(done.stderr)}  {name}.stderr")
+            lines.append(f"{_sha(str(done.returncode).encode())}  {name}.exit={done.returncode}")
+        for path in sorted(Path(tmp).iterdir()):
+            lines.append(f"{_sha(path.read_bytes())}  {path.name}")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
