@@ -24,7 +24,6 @@ from .hw_primitives import (
     FloatDecomposition,
     SqrtResult,
     decompose,
-    fixed_sqrt_real,
     lut_log2,
     lut_log10,
     nr_sqrt,

@@ -23,6 +23,8 @@ from .recon_core import (
     ThresholdVariant,
     _detect,
     _solve,
+    _tail_probability,
+    detect_positions,
     initial_dft,  # noqa: F401  bench/tests/test_bench.py checks spans wrap this binding too
     missing_noise_variance,
 )
@@ -107,8 +109,7 @@ def threshold_fixed(
     var = missing_noise_variance(n, n_a, sum_sq_amp)
 
     # the n-th root of p has no dedicated hardware unit; host precision
-    u = 1.0 - math.exp(math.log(cfg.p) / n)
-    log_term = lut_log2(u)
+    log_term = lut_log2(_tail_probability(cfg.p, n))
     log10_u = log_term.value / _LOG2_10
     if cfg.variant is ThresholdVariant.PAPER:
         root_arg = -(var * var) * log10_u
@@ -140,12 +141,16 @@ def threshold_fixed(
     )
 
 
+def _bits(n: int, positions: np.ndarray) -> ComparatorBits:
+    """Length-n comparator output with the bits at ``positions`` set."""
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[positions] = 1
+    return ComparatorBits(bits=bits)
+
+
 def comparator(v_spec: np.ndarray, t: float) -> ComparatorBits:
     """Bit per bin: 1 when the magnitude strictly exceeds the threshold."""
-    if t < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
-    v_spec = np.asarray(v_spec, dtype=complex)
-    return ComparatorBits(bits=(np.abs(v_spec) > t).astype(np.uint8))
+    return _bits(np.size(v_spec), detect_positions(v_spec, t))
 
 
 def _fixed_threshold(pattern: SamplingPattern, ssa: float, var: float, cfg: ThresholdConfig):
@@ -161,9 +166,7 @@ def part1_pipeline(
 ) -> Part1Result:
     """Detection front end: initial DFT, fixed-point threshold, comparator."""
     detection, v_spec, trace = _detect(meas, cfg, sum_sq_amp, _fixed_threshold)
-    bits = np.zeros(meas.pattern.n, dtype=np.uint8)
-    bits[detection.positions] = 1
-    return Part1Result(bits=ComparatorBits(bits=bits), trace=trace, spectrum=v_spec)
+    return Part1Result(bits=_bits(meas.pattern.n, detection.positions), trace=trace, spectrum=v_spec)
 
 
 def reconstruct_hardware(

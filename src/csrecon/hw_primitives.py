@@ -25,7 +25,6 @@ __all__ = [
     "lut_log10",
     "nr_sqrt",
     "nr_sqrt_batch",
-    "fixed_sqrt_real",
     "log_lut_entries",
 ]
 
@@ -153,20 +152,3 @@ def nr_sqrt_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rem = np.where(rem < 0, rem + (root << 1) + 1, rem)
     return root, rem
 
-
-def fixed_sqrt_real(x: float, frac_bits: int = 8) -> float:
-    """Square root of a nonnegative real through the integer datapath.
-
-    The input is scaled by 2**(2*frac_bits), rounded to an integer, rooted
-    with :func:`nr_sqrt`, and the root rescaled by 2**frac_bits.
-    """
-    x = float(x)
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"expected a nonnegative finite value, got {x}")
-    frac_bits = int(frac_bits)
-    scaled = round(math.ldexp(x, 2 * frac_bits))
-    if scaled > _U32_MAX:
-        raise OverflowError(
-            f"{x} * 2**{2 * frac_bits} = {scaled} does not fit in 32 bits"
-        )
-    return math.ldexp(nr_sqrt(scaled).root, -frac_bits)

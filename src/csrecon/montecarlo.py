@@ -51,6 +51,15 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
+def _trials(x: np.ndarray, n_a: int, trials: int, master_seed: int):
+    """Yield ``(trial, seed, meas)``: ``x`` sampled under each trial's own pattern."""
+    if int(trials) < 1:
+        raise ValueError(f"trial count must be at least 1, got {trials}")
+    for trial in range(int(trials)):
+        seed = derive_trial_seed(master_seed, trial)
+        yield trial, seed, sample(x, random_pattern(x.size, n_a, seed))
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Quality figures for one reconstruction against the known truth."""
@@ -102,9 +111,7 @@ def run_recovery_trials(
     x = synthesize(spec)
     ssa = sum_sq_amplitudes(spec) if cfg.amp_mode is AmpMode.ORACLE else None
     out = []
-    for trial in range(int(trials)):
-        seed = derive_trial_seed(master_seed, trial)
-        meas = sample(x, random_pattern(spec.n, n_a, seed))
+    for _, _, meas in _trials(x, n_a, trials, master_seed):
         if hardware:
             result, _ = reconstruct_hardware(meas, cfg, ssa)
         else:
@@ -158,21 +165,16 @@ def run_variance_calibration(
     vacuous = int(n_a) == spec.n
     rows = []
     below = 0
-    for trial in range(int(trials)):
-        seed = derive_trial_seed(master_seed, trial)
-        meas = sample(x, random_pattern(spec.n, n_a, seed))
+    for trial, seed, meas in _trials(x, n_a, trials, master_seed):
         noise_mags = np.abs(initial_dft(meas)[noise_bins])
-        if vacuous or noise_mags.size == 0:
-            all_below = True
-        else:
-            all_below = bool(noise_mags.max() < t)
+        all_below = vacuous or bool(noise_mags.max() < t)
         below += all_below
         rows.append(
             CalibrationTrial(
                 trial=trial,
                 seed=seed,
                 noise_power_mean=float(np.mean(noise_mags**2)),
-                noise_mag_max=float(noise_mags.max()) if noise_mags.size else 0.0,
+                noise_mag_max=float(noise_mags.max()),
                 all_below=all_below,
             )
         )
@@ -181,7 +183,7 @@ def run_variance_calibration(
         threshold=t,
         model_variance=var,
         empirical_variance=float(np.mean([r.noise_power_mean for r in rows])),
-        p_hat=below / len(rows) if rows else 1.0,
+        p_hat=below / len(rows),
     )
 
 
@@ -220,9 +222,7 @@ def run_threshold_xcheck(
     rel_err = abs(t_fix - t_ref) / t_ref if t_ref > 0.0 else abs(t_fix)
     rows = []
     matches = 0
-    for trial in range(int(trials)):
-        seed = derive_trial_seed(master_seed, trial)
-        meas = sample(x, random_pattern(spec.n, n_a, seed))
+    for trial, seed, meas in _trials(x, n_a, trials, master_seed):
         v_spec = initial_dft(meas)
         pos_ref = detect_positions(v_spec, effective_threshold(t_ref, v_spec))
         pos_fix = detect_positions(v_spec, effective_threshold(t_fix, v_spec))
@@ -240,6 +240,6 @@ def run_threshold_xcheck(
         )
     return XcheckResult(
         trials=tuple(rows),
-        max_rel_err=max((r.rel_err for r in rows), default=rel_err),
-        agreement_rate=matches / len(rows) if rows else 1.0,
+        max_rel_err=rel_err,
+        agreement_rate=matches / len(rows),
     )

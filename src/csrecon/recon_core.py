@@ -126,7 +126,7 @@ class ReconstructionResult:
     empty_support: bool = False
 
 
-def initial_dft(meas: Measurement, n: int | None = None) -> np.ndarray:
+def initial_dft(meas: Measurement) -> np.ndarray:
     """DFT of the available samples placed at their original time positions.
 
     Returns the length-n complex vector with
@@ -136,10 +136,7 @@ def initial_dft(meas: Measurement, n: int | None = None) -> np.ndarray:
     """
     if meas.values.size == 0:
         raise ValueError("measurement is empty")
-    if n is None:
-        n = meas.pattern.n
-    elif int(n) != meas.pattern.n:
-        raise ValueError(f"length {n} does not match pattern length {meas.pattern.n}")
+    n = meas.pattern.n
     freqs = np.arange(n)
     kernel = np.exp(-2j * np.pi * np.outer(freqs, meas.pattern.positions) / n)
     return kernel @ meas.values
@@ -164,6 +161,15 @@ def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
     return (n - n_a) * n_a / (n - 1) * sum_sq_amp
 
 
+def _tail_probability(p: float, n: int) -> float:
+    """``1 - p**(1/n)``, which both threshold paths take the logarithm of;
+    rejects a ``p`` so close to 1 that it rounds to 0."""
+    u = 1.0 - p ** (1.0 / n)
+    if u <= 0.0:
+        raise ValueError(f"probability {p} is too close to 1 for length {n}")
+    return u
+
+
 def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
     """Magnitude level separating signal bins from missing-sample noise.
 
@@ -174,7 +180,7 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
     var = float(var)
     if var < 0.0:
         raise ValueError(f"variance must be nonnegative, got {var}")
-    u = 1.0 - cfg.p ** (1.0 / n)
+    u = _tail_probability(cfg.p, n)
     if cfg.variant is ThresholdVariant.PAPER:
         return (1.0 / n) * math.sqrt(-(var * var) * math.log10(u))
     return math.sqrt(-var * math.log(u))
@@ -229,52 +235,14 @@ def hermitian(mtx: np.ndarray) -> np.ndarray:
     return np.asarray(mtx).conj().T
 
 
-def _solve_qr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the square complex system a @ x = b by Householder QR.
-
-    Reflections are applied in place to both the matrix and the right-hand
-    side, followed by back-substitution. Raises
-    :class:`SingularSystemError` when the triangular factor has a diagonal
-    entry below 1e-10 of the largest one.
-    """
-    r = np.array(a, dtype=complex)
-    y = np.array(b, dtype=complex)
-    k = r.shape[0]
-    for j in range(k):
-        col = r[j:, j]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            continue
-        # phase-aligned sign choice avoids cancellation in v[0]
-        pivot = col[0]
-        sign = pivot / abs(pivot) if pivot != 0.0 else 1.0
-        v = col.copy()
-        v[0] += sign * nrm
-        vn = np.linalg.norm(v)
-        if vn == 0.0:
-            continue
-        v /= vn
-        r[j:, j:] -= 2.0 * np.outer(v, v.conj() @ r[j:, j:])
-        y[j:] -= 2.0 * v * (v.conj() @ y[j:])
-    diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() < 1e-10 * diag.max():
-        raise SingularSystemError(
-            "normal-equation matrix is numerically singular "
-            f"(diagonal spread {diag.min():.3e} / {diag.max():.3e})"
-        )
-    x = np.zeros(k, dtype=complex)
-    for i in range(k - 1, -1, -1):
-        x[i] = (y[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
-    return x
-
-
 def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Least-squares amplitudes on the detected bins.
 
     Forms the normal equations (the conjugate-transpose products) and solves
-    them by Householder QR with back-substitution. For a consistent system,
-    i.e. the true support under noiseless sampling, the solution is exactly
-    n times the component amplitudes.
+    them by QR (LAPACK, through numpy); raises :class:`SingularSystemError`
+    when R has a diagonal entry below 1e-10 of the largest. For a consistent
+    system, i.e. the true support under noiseless sampling, the solution is
+    exactly n times the component amplitudes.
     """
     a_cs = np.asarray(a_cs, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -284,7 +252,14 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.shape != (rows,):
         raise ValueError(f"right-hand side length {v.shape} does not match {rows} rows")
     ah = hermitian(a_cs)
-    return _solve_qr(ah @ a_cs, ah @ v)
+    q, r = np.linalg.qr(ah @ a_cs)
+    diag = np.abs(np.diag(r))
+    if diag.max() == 0.0 or diag.min() < 1e-10 * diag.max():
+        raise SingularSystemError(
+            "normal-equation matrix is numerically singular "
+            f"(diagonal spread {diag.min():.3e} / {diag.max():.3e})"
+        )
+    return np.linalg.solve(r, hermitian(q) @ (ah @ v))
 
 
 def spectral_positioning(x_tp: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:

@@ -185,11 +185,22 @@ def write_signal_csv(path, samples: np.ndarray) -> None:
 
 
 def read_signal_csv(path) -> np.ndarray:
-    """Read a signal written by :func:`write_signal_csv`."""
+    """Read a signal written by :func:`write_signal_csv`; errors name the file."""
+    values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["index", "re", "im"]:
             raise ValueError(f"{path}: expected header 'index,re,im'")
-        values = [complex(float(re), float(im)) for _, re, im in reader]
-    return np.asarray(values, dtype=complex)
+        for row in reader:
+            try:
+                _, re, im = row
+                values.append(complex(float(re), float(im)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    x = np.asarray(values, dtype=complex)
+    if x.size == 0:
+        raise ValueError(f"{path}: no samples after the header")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: samples must be finite")
+    return x

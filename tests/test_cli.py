@@ -148,6 +148,25 @@ class TestRecon:
                    "--seed", "0", "--path", path, "--out", str(tmp_path / "nan"))
         assert code == 2
 
+    @pytest.mark.parametrize("path", ["reference", "hardware"])
+    def test_probability_too_close_to_one_is_config_error(
+        self, tmp_path, three_tone_signal, path, capsys
+    ):
+        code = run("recon", "--in", str(three_tone_signal), "--na", "128",
+                   "--p", "0.9999999999999999", "--seed", "0", "--path", path,
+                   "--out", str(tmp_path / "p1"))
+        assert code == 2
+        assert "too close to 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["", "0,1,0\n1,1\n", "0,1,0\n1,nan,0\n"])
+    def test_malformed_signal_is_config_error(self, tmp_path, body, capsys):
+        sig = tmp_path / "bad.csv"
+        sig.write_text("index,re,im\n" + body)
+        code = run("recon", "--in", str(sig), "--na", "1", "--p", "0.99",
+                   "--seed", "0", "--amp-mode", "estimate", "--out", str(tmp_path / "bad"))
+        assert code == 2
+        assert "bad.csv" in capsys.readouterr().err
+
     def test_na_too_large_is_config_error(self, tmp_path, three_tone_signal):
         code = run("recon", "--in", str(three_tone_signal), "--na", "257",
                    "--p", "0.99", "--seed", "0", "--out", str(tmp_path / "x"))
@@ -217,6 +236,14 @@ class TestXcheck:
             summary = list(csv.DictReader(fh))[-1]
         assert float(summary["rel_err"]) <= 1e-3
         assert float(summary["support_match"]) >= 0.98
+
+
+    def test_zero_trials_is_config_error(self, tmp_path, capsys):
+        code = run("xcheck", "--n", "64", "--na", "32", "--k", "1", "--p", "0.99",
+                   "--trials", "0", "--seed", "2", "--out", str(tmp_path / "xc.csv"))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestDumpLut:

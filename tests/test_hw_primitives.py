@@ -6,7 +6,6 @@ import pytest
 from csrecon.hw_primitives import (
     LOG_SCALE_BITS,
     decompose,
-    fixed_sqrt_real,
     log_lut_entries,
     lut_log2,
     lut_log10,
@@ -161,30 +160,3 @@ class TestNrSqrt:
         expected = floor_sqrt_array(values)
         np.testing.assert_array_equal(roots, expected)
         np.testing.assert_array_equal(rems, values.astype(np.int64) - expected**2)
-
-
-class TestFixedSqrtReal:
-    def test_zero(self):
-        assert fixed_sqrt_real(0.0, 8) == 0.0
-
-    def test_perfect_square_preserved(self):
-        assert fixed_sqrt_real(4.0, 8) == 2.0
-
-    def test_two(self):
-        # floor(sqrt(2 * 2^16)) = 362, rescaled by 2^-8
-        assert fixed_sqrt_real(2.0, 8) == 362 / 256
-
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            fixed_sqrt_real(2.0**20, 8)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_sqrt_real(-1.0, 8)
-
-    def test_relative_error(self):
-        rng = np.random.default_rng(31)
-        for x in rng.uniform(1.0, 60000.0, size=500):
-            approx = fixed_sqrt_real(float(x), 8)
-            rel = abs(approx - math.sqrt(x)) / math.sqrt(x)
-            assert rel <= 2**-8 / math.sqrt(x) + 2**-8

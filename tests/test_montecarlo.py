@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from csrecon.montecarlo import (
     compute_metrics,
@@ -104,3 +105,12 @@ def test_xcheck_half_sampling():
     report = run_threshold_xcheck(spec, 128, ThresholdConfig(p=0.99), 50, master_seed=2)
     assert report.max_rel_err <= 1e-3
     assert report.agreement_rate >= 0.98
+
+
+@pytest.mark.parametrize(
+    "run", [run_recovery_trials, run_variance_calibration, run_threshold_xcheck]
+)
+def test_zero_trials_rejected(run):
+    spec = SparseSpec(n=64, components=[(1.0, 7)])
+    with pytest.raises(ValueError, match="trial count must be at least 1"):
+        run(spec, 32, ThresholdConfig(p=0.9), 0, master_seed=1)

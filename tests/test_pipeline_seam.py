@@ -4,12 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csrecon.hw_datapath import part1_pipeline, reconstruct_hardware, threshold_fixed
 from csrecon.montecarlo import run_threshold_xcheck
-from csrecon.recon_core import AmpMode, ThresholdConfig, reconstruct
+from csrecon.recon_core import (
+    AmpMode,
+    ReconstructionResult,
+    SingularSystemError,
+    ThresholdConfig,
+    UnderdeterminedError,
+    _detect,
+    _reference_threshold,
+    reconstruct,
+    threshold,
+)
 from csrecon.signal_model import (
     SparseSpec,
     random_pattern,
@@ -38,6 +48,22 @@ def test_threshold_fixed_rejects_invalid_sum_sq_amp(bad):
         threshold_fixed(64, 32, bad, 0.99)
 
 
+def test_probability_too_close_to_one_rejected_on_both_paths():
+    p = 0.9999999999999999  # 1 - p**(1/1024) rounds to 0
+    with pytest.raises(ValueError, match="too close to 1 for length 1024"):
+        threshold(1.0, 1024, ThresholdConfig(p=p))
+    with pytest.raises(ValueError, match="too close to 1 for length 1024"):
+        threshold_fixed(1024, 512, 1.0, p)
+
+
+def _outcome(pipeline, meas, cfg, ssa):
+    """The pipeline's result, or the type of the linear-algebra error it raised."""
+    try:
+        return pipeline(meas, cfg, ssa)
+    except (SingularSystemError, UnderdeterminedError) as exc:
+        return type(exc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=8, max_value=160),
@@ -47,6 +73,10 @@ def test_threshold_fixed_rejects_invalid_sum_sq_amp(bad):
     p=st.floats(min_value=0.9, max_value=0.999),
     amp_mode=st.sampled_from(list(AmpMode)),
 )
+# positions {0, 2, 4, 6} alias bins 0 and 4, and both are detected: both paths
+# raise SingularSystemError
+@example(n=8, na_frac=0.5, k=1, seed=57658, p=0.9375, amp_mode=AmpMode.ORACLE)
+@example(n=8, na_frac=0.5, k=1, seed=57658, p=0.9375, amp_mode=AmpMode.ESTIMATE)
 def test_paths_differ_only_in_threshold(n, na_frac, k, seed, p, amp_mode):
     rng = np.random.default_rng(seed)
     k = min(k, n // 4)
@@ -58,17 +88,26 @@ def test_paths_differ_only_in_threshold(n, na_frac, k, seed, p, amp_mode):
     cfg = ThresholdConfig(p=p, amp_mode=amp_mode)
     ssa = sum_sq_amplitudes(spec)
 
-    ref = reconstruct(meas, cfg, ssa)
-    hw, trace = reconstruct_hardware(meas, cfg, ssa)
+    ref_detection, _, _ = _detect(meas, cfg, ssa, _reference_threshold)
     part1 = part1_pipeline(meas, cfg, ssa)
+    ref = _outcome(reconstruct, meas, cfg, ssa)
+    hw = _outcome(reconstruct_hardware, meas, cfg, ssa)
 
-    np.testing.assert_array_equal(part1.bits.positions(), hw.detection.positions)
-    assert part1.trace == trace
-    assert hw.detection.threshold == trace.t_fixed
-    assert hw.detection.variance == ref.detection.variance
-    if np.array_equal(ref.detection.positions, hw.detection.positions):
-        np.testing.assert_array_equal(hw.amplitudes, ref.amplitudes)
-        np.testing.assert_array_equal(hw.time_signal, ref.time_signal)
+    if isinstance(ref, ReconstructionResult):
+        np.testing.assert_array_equal(ref.detection.positions, ref_detection.positions)
+    if isinstance(hw, tuple):
+        hw, trace = hw
+        np.testing.assert_array_equal(part1.bits.positions(), hw.detection.positions)
+        assert part1.trace == trace
+        assert hw.detection.threshold == trace.t_fixed
+        assert hw.detection.variance == ref_detection.variance
+    if np.array_equal(ref_detection.positions, part1.bits.positions()):
+        if isinstance(ref, ReconstructionResult):
+            assert isinstance(hw, ReconstructionResult)
+            np.testing.assert_array_equal(hw.amplitudes, ref.amplitudes)
+            np.testing.assert_array_equal(hw.time_signal, ref.time_signal)
+        else:
+            assert hw is ref
 
 
 def test_xcheck_agreement_is_pipeline_agreement():

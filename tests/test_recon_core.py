@@ -81,11 +81,6 @@ class TestInitialDft:
             atol=1e-9,
         )
 
-    def test_length_mismatch(self):
-        meas = full_measurement(np.ones(4, dtype=complex))
-        with pytest.raises(ValueError):
-            initial_dft(meas, n=8)
-
 
 class TestMissingNoiseVariance:
     def test_no_missing_samples(self):

@@ -179,3 +179,22 @@ class TestSignalCsv:
         path.write_text("a,b,c\n0,1,2\n")
         with pytest.raises(ValueError):
             read_signal_csv(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("index,re,im\n")
+        with pytest.raises(ValueError, match="empty.csv: no samples"):
+            read_signal_csv(path)
+
+    def test_wrong_field_count_names_file_and_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("index,re,im\n0,1,0\n1,1\n")
+        with pytest.raises(ValueError, match="short.csv, line 3"):
+            read_signal_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"index,re,im\n0,1,0\n1,0,{bad}\n")
+        with pytest.raises(ValueError, match="nan.csv: samples must be finite"):
+            read_signal_csv(path)

@@ -49,6 +49,10 @@ COMMANDS = (
     ("dump-lut", ["dump-lut", "--out", "lut.csv"]),
     ("recon-invalid-p", ["recon", "--in", "sig.csv", "--na", "128", "--p", "1.5",
                          "--seed", "1", "--out", "bad"]),
+    ("xcheck-zero-trials", ["xcheck", "--n", "64", "--na", "32", "--k", "1", "--p", "0.99",
+                            "--trials", "0", "--seed", "1", "--out", "xc0.csv"]),
+    ("recon-p-near-one", ["recon", "--in", "sig.csv", "--na", "128",
+                          "--p", "0.9999999999999999", "--seed", "1", "--out", "p1"]),
 )
 
 
