@@ -10,15 +10,7 @@ plus a Monte-Carlo harness that calibrates the noise model behind the
 threshold.
 """
 
-from .hw_datapath import (
-    ComparatorBits,
-    FixedThresholdTrace,
-    Part1Result,
-    comparator,
-    part1_pipeline,
-    reconstruct_hardware,
-    threshold_fixed,
-)
+from .hw_datapath import FixedThresholdTrace, reconstruct_hardware, threshold_fixed
 from .hw_primitives import (
     FixedLog,
     FloatDecomposition,

@@ -156,15 +156,14 @@ def cmd_xcheck(args) -> int:
     spec = _spec_from_args(args)
     cfg = ThresholdConfig(p=args.p, variant=args.variant)
     report = run_threshold_xcheck(spec, args.na, cfg, args.trials, args.seed)
+    thresholds = [fmt(report.threshold_ref), fmt(report.threshold_fixed)]
     rows = [
-        ["trial", row.trial, row.seed, fmt(row.threshold_ref),
-         fmt(row.threshold_fixed), fmt(row.rel_err), int(row.support_match)]
+        ["trial", row.trial, row.seed, *thresholds, fmt(report.max_rel_err),
+         int(row.support_match)]
         for row in report.trials
     ]
-    first = report.trials[0]
     rows.append(
-        ["summary", len(report.trials), "", fmt(first.threshold_ref),
-         fmt(first.threshold_fixed), fmt(report.max_rel_err),
+        ["summary", len(report.trials), "", *thresholds, fmt(report.max_rel_err),
          fmt(report.agreement_rate)]
     )
     write_csv(

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .csvio import fmt, write_csv
 from .hw_primitives import FixedLog, SqrtResult, lut_log2, nr_sqrt
 from .recon_core import (
+    DetectionResult,
     ReconstructionResult,
     ThresholdConfig,
     ThresholdVariant,
     _detect,
+    _finite_root_arg,
     _solve,
     _tail_probability,
     detect_positions,
@@ -31,9 +32,7 @@ from .recon_core import (
 from .signal_model import Measurement, SamplingPattern
 
 __all__ = [
-    "ComparatorBits",
     "FixedThresholdTrace",
-    "Part1Result",
     "threshold_fixed",
     "comparator",
     "part1_pipeline",
@@ -43,26 +42,6 @@ __all__ = [
 
 _LOG2_10 = math.log2(10.0)
 _LN_10 = math.log(10.0)
-
-
-@dataclass(frozen=True, eq=False)
-class ComparatorBits:
-    """Per-bin comparator outputs: 1 where the magnitude exceeds the threshold."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8).copy()
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def count_ones(self) -> int:
-        return int(self.bits.sum())
-
-    def positions(self) -> np.ndarray:
-        """Indices of the set bits, ascending."""
-        return np.flatnonzero(self.bits).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -81,12 +60,6 @@ class FixedThresholdTrace:
     root_out: SqrtResult
     t_fixed: float
     scale_shift: int
-
-
-class Part1Result(NamedTuple):
-    bits: ComparatorBits
-    trace: FixedThresholdTrace
-    spectrum: np.ndarray
 
 
 def threshold_fixed(
@@ -115,6 +88,7 @@ def threshold_fixed(
         root_arg = -(var * var) * log10_u
     else:
         root_arg = -var * (log10_u * _LN_10)
+    root_arg = _finite_root_arg(root_arg)
 
     if root_arg <= 0.0:
         root_in = 0
@@ -141,16 +115,15 @@ def threshold_fixed(
     )
 
 
-def _bits(n: int, positions: np.ndarray) -> ComparatorBits:
-    """Length-n comparator output with the bits at ``positions`` set."""
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[positions] = 1
-    return ComparatorBits(bits=bits)
+def comparator(v_spec: np.ndarray, t: float) -> np.ndarray:
+    """Bit per bin (``uint8``): 1 when the magnitude strictly exceeds the threshold.
 
-
-def comparator(v_spec: np.ndarray, t: float) -> ComparatorBits:
-    """Bit per bin: 1 when the magnitude strictly exceeds the threshold."""
-    return _bits(np.size(v_spec), detect_positions(v_spec, t))
+    The pipelines use :func:`~csrecon.recon_core.detect_positions` directly;
+    this stays only because the benchmark's span list names it.
+    """
+    bits = np.zeros(np.size(v_spec), dtype=np.uint8)
+    bits[detect_positions(v_spec, t)] = 1
+    return bits
 
 
 def _fixed_threshold(pattern: SamplingPattern, ssa: float, var: float, cfg: ThresholdConfig):
@@ -163,10 +136,13 @@ def part1_pipeline(
     meas: Measurement,
     cfg: ThresholdConfig,
     sum_sq_amp: float | None = None,
-) -> Part1Result:
-    """Detection front end: initial DFT, fixed-point threshold, comparator."""
-    detection, v_spec, trace = _detect(meas, cfg, sum_sq_amp, _fixed_threshold)
-    return Part1Result(bits=_bits(meas.pattern.n, detection.positions), trace=trace, spectrum=v_spec)
+) -> tuple[DetectionResult, np.ndarray, FixedThresholdTrace]:
+    """Detection front end: the detection, the initial DFT and the threshold trace.
+
+    :func:`reconstruct_hardware` runs the same stage; this stays only because
+    the benchmark's span list names it.
+    """
+    return _detect(meas, cfg, sum_sq_amp, _fixed_threshold)
 
 
 def reconstruct_hardware(

@@ -164,18 +164,15 @@ def run_variance_calibration(
     noise_bins = np.setdiff1d(np.arange(spec.n), spec.freq_bins)
     vacuous = int(n_a) == spec.n
     rows = []
-    below = 0
     for trial, seed, meas in _trials(x, n_a, trials, master_seed):
         noise_mags = np.abs(initial_dft(meas)[noise_bins])
-        all_below = vacuous or bool(noise_mags.max() < t)
-        below += all_below
         rows.append(
             CalibrationTrial(
                 trial=trial,
                 seed=seed,
                 noise_power_mean=float(np.mean(noise_mags**2)),
                 noise_mag_max=float(noise_mags.max()),
-                all_below=all_below,
+                all_below=vacuous or bool(noise_mags.max() < t),
             )
         )
     return CalibrationResult(
@@ -183,7 +180,7 @@ def run_variance_calibration(
         threshold=t,
         model_variance=var,
         empirical_variance=float(np.mean([r.noise_power_mean for r in rows])),
-        p_hat=below / len(rows),
+        p_hat=sum(r.all_below for r in rows) / len(rows),
     )
 
 
@@ -191,17 +188,20 @@ def run_variance_calibration(
 class XcheckTrial:
     trial: int
     seed: int
-    threshold_ref: float
-    threshold_fixed: float
-    rel_err: float
     support_match: bool
 
 
 @dataclass(frozen=True)
 class XcheckResult:
-    """Reference vs fixed-point threshold agreement over random patterns."""
+    """Reference vs fixed-point threshold agreement over random patterns.
+
+    The thresholds depend on the signal and the sampling ratio, not on the
+    pattern, so they and their relative error are run-level values.
+    """
 
     trials: tuple[XcheckTrial, ...]
+    threshold_ref: float
+    threshold_fixed: float
     max_rel_err: float
     agreement_rate: float
 
@@ -221,25 +221,15 @@ def run_threshold_xcheck(
     t_fix = threshold_fixed(spec.n, n_a, ssa, cfg.p, cfg.variant).t_fixed
     rel_err = abs(t_fix - t_ref) / t_ref if t_ref > 0.0 else abs(t_fix)
     rows = []
-    matches = 0
     for trial, seed, meas in _trials(x, n_a, trials, master_seed):
         v_spec = initial_dft(meas)
         pos_ref = detect_positions(v_spec, effective_threshold(t_ref, v_spec))
         pos_fix = detect_positions(v_spec, effective_threshold(t_fix, v_spec))
-        match = bool(np.array_equal(pos_ref, pos_fix))
-        matches += match
-        rows.append(
-            XcheckTrial(
-                trial=trial,
-                seed=seed,
-                threshold_ref=t_ref,
-                threshold_fixed=t_fix,
-                rel_err=rel_err,
-                support_match=match,
-            )
-        )
+        rows.append(XcheckTrial(trial, seed, bool(np.array_equal(pos_ref, pos_fix))))
     return XcheckResult(
         trials=tuple(rows),
+        threshold_ref=t_ref,
+        threshold_fixed=t_fix,
         max_rel_err=rel_err,
-        agreement_rate=matches / len(rows),
+        agreement_rate=sum(r.support_match for r in rows) / len(rows),
     )

@@ -123,7 +123,11 @@ class ReconstructionResult:
     spectrum: np.ndarray
     time_signal: np.ndarray
     detection: DetectionResult
-    empty_support: bool = False
+
+    @property
+    def empty_support(self) -> bool:
+        """No bin was detected; the spectrum and time signal are zero."""
+        return self.detection.n_detected == 0
 
 
 def initial_dft(meas: Measurement) -> np.ndarray:
@@ -170,6 +174,14 @@ def _tail_probability(p: float, n: int) -> float:
     return u
 
 
+def _finite_root_arg(root_arg: float) -> float:
+    """The square-root argument of both threshold paths; rejects one that
+    overflowed, since no finite threshold can stand for it."""
+    if not math.isfinite(root_arg):
+        raise ValueError(f"threshold overflows: square-root argument is {root_arg}")
+    return root_arg
+
+
 def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
     """Magnitude level separating signal bins from missing-sample noise.
 
@@ -182,8 +194,8 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
         raise ValueError(f"variance must be nonnegative, got {var}")
     u = _tail_probability(cfg.p, n)
     if cfg.variant is ThresholdVariant.PAPER:
-        return (1.0 / n) * math.sqrt(-(var * var) * math.log10(u))
-    return math.sqrt(-var * math.log(u))
+        return (1.0 / n) * math.sqrt(_finite_root_arg(-(var * var) * math.log10(u)))
+    return math.sqrt(_finite_root_arg(-var * math.log(u)))
 
 
 def detect_positions(v_spec: np.ndarray, t: float) -> np.ndarray:
@@ -308,16 +320,9 @@ def _solve(meas: Measurement, detection: DetectionResult) -> ReconstructionResul
     n = meas.pattern.n
     pos = detection.positions
     if pos.size == 0:
-        zeros = np.zeros(n, dtype=complex)
-        return ReconstructionResult(
-            amplitudes=np.zeros(0, dtype=complex),
-            spectrum=zeros,
-            time_signal=zeros.copy(),
-            detection=detection,
-            empty_support=True,
-        )
-    a_cs = build_cs_matrix(n, meas.pattern, pos)
-    x_tp = ls_solve(a_cs, meas.values)
+        x_tp = np.zeros(0, dtype=complex)
+    else:
+        x_tp = ls_solve(build_cs_matrix(n, meas.pattern, pos), meas.values)
     spectrum = spectral_positioning(x_tp, pos, n)
     return ReconstructionResult(
         amplitudes=x_tp,

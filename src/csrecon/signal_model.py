@@ -100,11 +100,6 @@ class SamplingPattern:
         """Number of available samples."""
         return int(self.positions.size)
 
-    @property
-    def m_missing(self) -> int:
-        """Number of missing samples."""
-        return self.n - self.n_a
-
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
@@ -185,7 +180,10 @@ def write_signal_csv(path, samples: np.ndarray) -> None:
 
 
 def read_signal_csv(path) -> np.ndarray:
-    """Read a signal written by :func:`write_signal_csv`; errors name the file."""
+    """Read a signal written by :func:`write_signal_csv`; errors name the file.
+
+    Each row's index must equal its position, 0 to n-1.
+    """
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -194,7 +192,9 @@ def read_signal_csv(path) -> np.ndarray:
             raise ValueError(f"{path}: expected header 'index,re,im'")
         for row in reader:
             try:
-                _, re, im = row
+                index, re, im = row
+                if int(index) != len(values):
+                    raise ValueError(f"index {index!r} where {len(values)} was expected")
                 values.append(complex(float(re), float(im)))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None

@@ -158,7 +158,19 @@ class TestRecon:
         assert code == 2
         assert "too close to 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body", ["", "0,1,0\n1,1\n", "0,1,0\n1,nan,0\n"])
+    @pytest.mark.parametrize("path", ["reference", "hardware"])
+    def test_threshold_overflow_is_config_error(self, tmp_path, path, capsys):
+        sig = tmp_path / "huge.csv"
+        assert run("gen", "--n", "64", "--tones", "1e80@5", "--out", str(sig)) == 0
+        code = run("recon", "--in", str(sig), "--na", "32", "--p", "0.99",
+                   "--seed", "1", "--variant", "paper", "--path", path,
+                   "--out", str(tmp_path / "huge"))
+        assert code == 2
+        assert "threshold overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["", "0,1,0\n1,1\n", "0,1,0\n1,nan,0\n",
+                                      "0,1,0\n2,1,0\n1,1,0\n7,1,0\n",
+                                      "foo,1,0\nbar,1,0\n"])
     def test_malformed_signal_is_config_error(self, tmp_path, body, capsys):
         sig = tmp_path / "bad.csv"
         sig.write_text("index,re,im\n" + body)

@@ -17,6 +17,7 @@ from csrecon.recon_core import (
     UnderdeterminedError,
     _detect,
     _reference_threshold,
+    missing_noise_variance,
     reconstruct,
     threshold,
 )
@@ -56,6 +57,16 @@ def test_probability_too_close_to_one_rejected_on_both_paths():
         threshold_fixed(1024, 512, 1.0, p)
 
 
+@pytest.mark.parametrize("variant, ssa", [("paper", 1e160), ("ref10", 1e307)])
+def test_threshold_overflow_rejected_on_both_paths(variant, ssa):
+    # n=64, n_a=32 gives var = 16.25 * ssa; the root argument overflows to inf
+    var = missing_noise_variance(64, 32, ssa)
+    with pytest.raises(ValueError, match="threshold overflows"):
+        threshold(var, 64, ThresholdConfig(p=0.99, variant=variant))
+    with pytest.raises(ValueError, match="threshold overflows"):
+        threshold_fixed(64, 32, ssa, 0.99, variant)
+
+
 def _outcome(pipeline, meas, cfg, ssa):
     """The pipeline's result, or the type of the linear-algebra error it raised."""
     try:
@@ -89,7 +100,7 @@ def test_paths_differ_only_in_threshold(n, na_frac, k, seed, p, amp_mode):
     ssa = sum_sq_amplitudes(spec)
 
     ref_detection, _, _ = _detect(meas, cfg, ssa, _reference_threshold)
-    part1 = part1_pipeline(meas, cfg, ssa)
+    hw_detection, _, hw_trace = part1_pipeline(meas, cfg, ssa)
     ref = _outcome(reconstruct, meas, cfg, ssa)
     hw = _outcome(reconstruct_hardware, meas, cfg, ssa)
 
@@ -97,11 +108,11 @@ def test_paths_differ_only_in_threshold(n, na_frac, k, seed, p, amp_mode):
         np.testing.assert_array_equal(ref.detection.positions, ref_detection.positions)
     if isinstance(hw, tuple):
         hw, trace = hw
-        np.testing.assert_array_equal(part1.bits.positions(), hw.detection.positions)
-        assert part1.trace == trace
+        np.testing.assert_array_equal(hw_detection.positions, hw.detection.positions)
+        assert hw_trace == trace
         assert hw.detection.threshold == trace.t_fixed
         assert hw.detection.variance == ref_detection.variance
-    if np.array_equal(ref_detection.positions, part1.bits.positions()):
+    if np.array_equal(ref_detection.positions, hw_detection.positions):
         if isinstance(ref, ReconstructionResult):
             assert isinstance(hw, ReconstructionResult)
             np.testing.assert_array_equal(hw.amplitudes, ref.amplitudes)
@@ -120,6 +131,6 @@ def test_xcheck_agreement_is_pipeline_agreement():
         meas = sample(x, random_pattern(spec.n, 64, row.seed))
         same = np.array_equal(
             reconstruct(meas, cfg, ssa).detection.positions,
-            part1_pipeline(meas, cfg, ssa).bits.positions(),
+            part1_pipeline(meas, cfg, ssa)[0].positions,
         )
         assert row.support_match == same

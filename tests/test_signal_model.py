@@ -69,7 +69,6 @@ class TestRandomPattern:
     def test_full_coverage_is_permutation(self):
         pat = random_pattern(4, 4, seed=123)
         assert sorted(pat.positions.tolist()) == [0, 1, 2, 3]
-        assert pat.m_missing == 0
 
     def test_deterministic_per_seed(self):
         a = random_pattern(8, 4, seed=42)
@@ -190,6 +189,15 @@ class TestSignalCsv:
         path = tmp_path / "short.csv"
         path.write_text("index,re,im\n0,1,0\n1,1\n")
         with pytest.raises(ValueError, match="short.csv, line 3"):
+            read_signal_csv(path)
+
+    @pytest.mark.parametrize(
+        "indices, line", [(["0", "2", "1", "7"], 3), (["foo", "bar"], 2)]
+    )
+    def test_index_must_count_from_zero(self, tmp_path, indices, line):
+        path = tmp_path / "idx.csv"
+        path.write_text("index,re,im\n" + "".join(f"{i},1,0\n" for i in indices))
+        with pytest.raises(ValueError, match=f"idx.csv, line {line}"):
             read_signal_csv(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -53,6 +53,14 @@ COMMANDS = (
                             "--trials", "0", "--seed", "1", "--out", "xc0.csv"]),
     ("recon-p-near-one", ["recon", "--in", "sig.csv", "--na", "128",
                           "--p", "0.9999999999999999", "--seed", "1", "--out", "p1"]),
+    ("recon-empty-support-hardware", ["recon", "--in", "two.csv", "--na", "1", "--p", "0.99",
+                                      "--seed", "0", "--path", "hardware", "--out", "emptyhw"]),
+    ("xcheck-full-sampling", ["xcheck", "--n", "64", "--na", "64", "--tones", "1@7",
+                              "--p", "0.99", "--trials", "20", "--seed", "2",
+                              "--out", "xcfull.csv"]),
+    ("gen-huge-tone", ["gen", "--n", "64", "--tones", "1e80@5", "--out", "huge.csv"]),
+    ("recon-paper-overflow", ["recon", "--in", "huge.csv", "--na", "32", "--p", "0.99",
+                              "--seed", "1", "--variant", "paper", "--out", "huge"]),
 )
 
 
