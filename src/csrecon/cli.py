@@ -21,8 +21,6 @@ from .montecarlo import (
     run_variance_calibration,
 )
 from .recon_core import (
-    AmpMode,
-    EmptySupportError,
     SingularSystemError,
     ThresholdConfig,
     UnderdeterminedError,
@@ -94,15 +92,11 @@ def cmd_gen(args) -> int:
 def cmd_recon(args) -> int:
     x = read_signal_csv(args.infile)
     n = x.size
-    full_dft = np.fft.fft(x)
-    peak = float(np.abs(full_dft).max())
-    true_support = (
-        np.flatnonzero(np.abs(full_dft) > 1e-6 * peak) if peak > 0.0
-        else np.zeros(0, dtype=np.int64)
-    )
+    full_mag = np.abs(np.fft.fft(x))
+    true_support = np.flatnonzero(full_mag > 1e-6 * full_mag.max())
     cfg = ThresholdConfig(p=args.p, variant=args.variant, amp_mode=args.amp_mode)
     # full-signal power equals the sum of squared amplitudes for distinct tones
-    ssa = float(np.mean(np.abs(x) ** 2)) if cfg.amp_mode is AmpMode.ORACLE else None
+    ssa = float(np.mean(np.abs(x) ** 2))
     meas = sample(x, random_pattern(n, args.na, args.seed))
     if args.path == "hardware":
         result, trace = reconstruct_hardware(meas, cfg, ssa)
@@ -246,9 +240,6 @@ def main(argv=None) -> int:
     except (UnderdeterminedError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LINALG
-    except EmptySupportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_SUPPORT
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

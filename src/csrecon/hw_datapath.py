@@ -90,19 +90,13 @@ def threshold_fixed(
         root_arg = -var * (log10_u * _LN_10)
     root_arg = _finite_root_arg(root_arg)
 
-    if root_arg <= 0.0:
-        root_in = 0
-        root_out = nr_sqrt(0)
-        shift = 0
-        root_value = 0.0
-    else:
-        _, exp = math.frexp(root_arg)  # root_arg in [2**(exp-1), 2**exp)
-        shift = 30 - exp
-        if shift % 2:
-            shift += 1
-        root_in = round(math.ldexp(root_arg, shift))
-        root_out = nr_sqrt(root_in)
-        root_value = math.ldexp(root_out.root, -(shift // 2))
+    _, exp = math.frexp(root_arg)  # root_arg in [2**(exp-1), 2**exp), or 0
+    shift = 30 - exp
+    if shift % 2:
+        shift += 1
+    root_in = round(math.ldexp(root_arg, shift))
+    root_out = nr_sqrt(root_in)
+    root_value = math.ldexp(root_out.root, -(shift // 2))
 
     t_fixed = root_value / n if cfg.variant is ThresholdVariant.PAPER else root_value
     return FixedThresholdTrace(

@@ -135,8 +135,8 @@ def nr_sqrt(b: int) -> SqrtResult:
 def nr_sqrt_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`nr_sqrt` over an array of 32-bit unsigned values.
 
-    Runs the identical recurrence on int64 lanes; used by the sweep and
-    verification harnesses where millions of inputs are checked.
+    Runs the identical recurrence on int64 lanes; the tests use it to check
+    the scalar unit over millions of inputs at once.
     """
     b = np.asarray(values, dtype=np.int64)
     if b.size and (b.min() < 0 or b.max() > _U32_MAX):

@@ -13,7 +13,6 @@ import numpy as np
 
 from .hw_datapath import reconstruct_hardware, threshold_fixed
 from .recon_core import (
-    AmpMode,
     ReconstructionResult,
     ThresholdConfig,
     detect_positions,
@@ -109,7 +108,7 @@ def run_recovery_trials(
 ) -> list[Metrics]:
     """Reconstruct the same signal under independently drawn patterns."""
     x = synthesize(spec)
-    ssa = sum_sq_amplitudes(spec) if cfg.amp_mode is AmpMode.ORACLE else None
+    ssa = sum_sq_amplitudes(spec)
     out = []
     for _, _, meas in _trials(x, n_a, trials, master_seed):
         if hardware:
@@ -135,7 +134,7 @@ class CalibrationResult:
 
     ``empirical_variance`` is the grand mean of |V|**2 over the non-signal
     bins, to be compared with ``model_variance``; ``p_hat`` is the fraction
-    of trials where every noise bin stayed strictly below the threshold.
+    of trials where the pipelines' detection rule flagged no noise bin.
     """
 
     trials: tuple[CalibrationTrial, ...]
@@ -154,25 +153,25 @@ def run_variance_calibration(
 ) -> CalibrationResult:
     """Measure the noise-bin statistics of the initial DFT against the model.
 
-    With no missing samples there is no missing-sample noise to test, so
-    every trial counts as below the (zero) threshold vacuously.
+    A trial counts as below the threshold when the pipelines' detection rule,
+    :func:`~csrecon.recon_core.effective_threshold`, flags no noise bin.
     """
     x = synthesize(spec)
     ssa = sum_sq_amplitudes(spec)
     var = missing_noise_variance(spec.n, n_a, ssa)
     t = threshold(var, spec.n, cfg)
     noise_bins = np.setdiff1d(np.arange(spec.n), spec.freq_bins)
-    vacuous = int(n_a) == spec.n
     rows = []
     for trial, seed, meas in _trials(x, n_a, trials, master_seed):
-        noise_mags = np.abs(initial_dft(meas)[noise_bins])
+        v_spec = initial_dft(meas)
+        noise_mags = np.abs(v_spec[noise_bins])
         rows.append(
             CalibrationTrial(
                 trial=trial,
                 seed=seed,
                 noise_power_mean=float(np.mean(noise_mags**2)),
                 noise_mag_max=float(noise_mags.max()),
-                all_below=vacuous or bool(noise_mags.max() < t),
+                all_below=bool(noise_mags.max() <= effective_threshold(t, v_spec)),
             )
         )
     return CalibrationResult(

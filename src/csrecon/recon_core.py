@@ -138,8 +138,6 @@ def initial_dft(meas: Measurement) -> np.ndarray:
     Using the original positions in the exponent is what keeps the signal
     bins aligned with the full-data DFT.
     """
-    if meas.values.size == 0:
-        raise ValueError("measurement is empty")
     n = meas.pattern.n
     freqs = np.arange(n)
     kernel = np.exp(-2j * np.pi * np.outer(freqs, meas.pattern.positions) / n)
@@ -250,11 +248,12 @@ def hermitian(mtx: np.ndarray) -> np.ndarray:
 def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Least-squares amplitudes on the detected bins.
 
-    Forms the normal equations (the conjugate-transpose products) and solves
-    them by QR (LAPACK, through numpy); raises :class:`SingularSystemError`
-    when R has a diagonal entry below 1e-10 of the largest. For a consistent
-    system, i.e. the true support under noiseless sampling, the solution is
-    exactly n times the component amplitudes.
+    Forms the normal equations ``AᴴA x = Aᴴv`` and solves them with one LU
+    factorization (LAPACK, through numpy). The gate is the R of a QR of
+    ``AᴴA``: :class:`SingularSystemError` is raised when R has a diagonal
+    entry below 1e-10 of the largest. For a consistent system, i.e. the true
+    support under noiseless sampling, the solution is exactly n times the
+    component amplitudes.
     """
     a_cs = np.asarray(a_cs, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -264,14 +263,14 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.shape != (rows,):
         raise ValueError(f"right-hand side length {v.shape} does not match {rows} rows")
     ah = hermitian(a_cs)
-    q, r = np.linalg.qr(ah @ a_cs)
-    diag = np.abs(np.diag(r))
+    gram = ah @ a_cs
+    diag = np.abs(np.diag(np.linalg.qr(gram, mode="r")))
     if diag.max() == 0.0 or diag.min() < 1e-10 * diag.max():
         raise SingularSystemError(
             "normal-equation matrix is numerically singular "
             f"(diagonal spread {diag.min():.3e} / {diag.max():.3e})"
         )
-    return np.linalg.solve(r, hermitian(q) @ (ah @ v))
+    return np.linalg.solve(gram, ah @ v)
 
 
 def spectral_positioning(x_tp: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:

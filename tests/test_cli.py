@@ -179,10 +179,15 @@ class TestRecon:
         assert code == 2
         assert "bad.csv" in capsys.readouterr().err
 
-    def test_na_too_large_is_config_error(self, tmp_path, three_tone_signal):
-        code = run("recon", "--in", str(three_tone_signal), "--na", "257",
-                   "--p", "0.99", "--seed", "0", "--out", str(tmp_path / "x"))
-        assert code == 2
+    def test_na_too_large_is_config_error(self, tmp_path, three_tone_signal, capsys):
+        for na in ("0", "257"):
+            for path in ("reference", "hardware"):
+                code = run("recon", "--in", str(three_tone_signal), "--na", na,
+                           "--p", "0.99", "--seed", "0", "--path", path,
+                           "--out", str(tmp_path / "x"))
+                assert code == 2
+                err = capsys.readouterr().err
+                assert err == f"error: available count {na} outside [1, 256]\n"
 
     def test_deterministic_outputs(self, tmp_path, three_tone_signal):
         pa, pb = tmp_path / "ra", tmp_path / "rb"
@@ -256,6 +261,15 @@ class TestXcheck:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("na", ["0", "257"])
+@pytest.mark.parametrize("command", ["calibrate", "xcheck"])
+def test_sweep_na_out_of_range_is_config_error(tmp_path, capsys, command, na):
+    code = run(command, "--n", "256", "--na", na, "--tones", "1@3", "--p", "0.9",
+               "--trials", "100", "--seed", "1", "--out", str(tmp_path / "c.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: available count {na} outside [1, 256]\n"
 
 
 class TestDumpLut:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csrecon.hw_datapath import part1_pipeline, reconstruct_hardware, threshold_fixed
-from csrecon.montecarlo import run_threshold_xcheck
+from csrecon.montecarlo import run_threshold_xcheck, run_variance_calibration
 from csrecon.recon_core import (
     AmpMode,
     ReconstructionResult,
@@ -134,3 +134,20 @@ def test_xcheck_agreement_is_pipeline_agreement():
             part1_pipeline(meas, cfg, ssa)[0].positions,
         )
         assert row.support_match == same
+
+
+@pytest.mark.parametrize("n_a", [64, 128])
+def test_calibration_counts_what_the_pipeline_detects(n_a):
+    spec = SparseSpec(n=128, components=[(1.0, 37)])
+    cfg = ThresholdConfig(p=0.9)
+    ssa = sum_sq_amplitudes(spec)
+    x = synthesize(spec)
+    report = run_variance_calibration(spec, n_a, cfg, trials=100, master_seed=7)
+    below = []
+    for row in report.trials:
+        meas = sample(x, random_pattern(spec.n, n_a, row.seed))
+        detection, _, _ = _detect(meas, cfg, ssa, _reference_threshold)
+        below.append(np.setdiff1d(detection.positions, spec.freq_bins).size == 0)
+        assert row.all_below == below[-1]
+    if n_a < spec.n:
+        assert 0 < sum(below) < len(below)  # both outcomes are exercised

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csrecon.recon_core import (
     AmpMode,
@@ -12,6 +14,7 @@ from csrecon.recon_core import (
     UnderdeterminedError,
     build_cs_matrix,
     detect_positions,
+    effective_threshold,
     hermitian,
     idft,
     initial_dft,
@@ -158,6 +161,18 @@ class TestDetectPositions:
         np.testing.assert_array_equal(pos, [0, 2, 4])
 
 
+class TestEffectiveThreshold:
+    def test_floor_sets_level_at_zero_threshold(self):
+        v = np.array([3.0, -4.0j, 1e-12, 0.0])
+        assert effective_threshold(0.0, v) == 1e-9 * 4.0
+        np.testing.assert_array_equal(detect_positions(v, effective_threshold(0.0, v)), [0, 1])
+
+    def test_no_effect_above_floor(self):
+        v = np.array([3.0, -4.0j, 1e-12, 0.0])
+        for t in (4e-9, 1e-6, 3.5, 10.0):
+            assert effective_threshold(t, v) == t
+
+
 class TestBuildCsMatrix:
     def test_full_matrix_is_synthesis_matrix(self):
         pat = SamplingPattern(n=4, positions=np.arange(4))
@@ -237,6 +252,24 @@ class TestLsSolve:
         a = build_cs_matrix(64, pat, spec.freq_bins)
         got = ls_solve(a, meas.values)
         np.testing.assert_allclose(got, 64 * spec.amplitudes, rtol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exact_recovery_property(self, data):
+        n = data.draw(st.integers(min_value=16, max_value=512), label="n")
+        k = data.draw(st.integers(min_value=1, max_value=min(12, n // 2)), label="k")
+        n_a = data.draw(st.integers(min_value=2 * k, max_value=n), label="n_a")
+        bins = np.array(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True), label="bins"))
+        seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        amps = rng.uniform(0.1, 10.0, size=k) * np.exp(2j * np.pi * rng.uniform(size=k))
+        x = amps @ np.exp(2j * np.pi * np.outer(bins, np.arange(n)) / n)
+        pat = random_pattern(n, n_a, seed)
+        a = build_cs_matrix(n, pat, bins)
+        assume(np.linalg.cond(a) < 1e3)
+        got = ls_solve(a, sample(x, pat).values)
+        assert np.linalg.norm(got - n * amps) <= 1e-9 * np.linalg.norm(n * amps)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(9)

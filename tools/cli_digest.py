@@ -61,6 +61,13 @@ COMMANDS = (
     ("gen-huge-tone", ["gen", "--n", "64", "--tones", "1e80@5", "--out", "huge.csv"]),
     ("recon-paper-overflow", ["recon", "--in", "huge.csv", "--na", "32", "--p", "0.99",
                               "--seed", "1", "--variant", "paper", "--out", "huge"]),
+    ("gen-alias", ["gen", "--n", "8", "--tones", "1@1,1@5", "--out", "alias.csv"]),
+    # positions {0, 2, 4, 6}: bins 1 and 5 alias and both are detected
+    ("recon-singular", ["recon", "--in", "alias.csv", "--na", "4", "--p", "0.99",
+                        "--seed", "18", "--out", "alias"]),
+    ("recon-full-sampling-hardware", ["recon", "--in", "sig.csv", "--na", "256",
+                                      "--p", "0.99", "--seed", "0", "--path", "hardware",
+                                      "--out", "fullhw"]),
 )
 
 
