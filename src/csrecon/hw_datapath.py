@@ -110,7 +110,8 @@ def threshold_fixed(
 
 
 def comparator(v_spec: np.ndarray, t: float) -> np.ndarray:
-    """Bit per bin (``uint8``): 1 when the magnitude strictly exceeds the threshold.
+    """Bit per bin (``uint8``): 1 when the magnitude strictly exceeds the
+    detection level, ``t`` or 1e-9 of the spectral peak, whichever is larger.
 
     The pipelines use :func:`~csrecon.recon_core.detect_positions` directly;
     this stays only because the benchmark's span list names it.

@@ -104,51 +104,38 @@ def lut_log10(x: float) -> float:
     return lut_log2(x).value / _LOG2_10
 
 
-def nr_sqrt(b: int) -> SqrtResult:
-    """Non-restoring square root of a 32-bit unsigned integer.
+def _nr_sqrt(b):
+    """The non-restoring recurrence, on a Python int or int64 lanes alike.
 
-    Processes two input bits per step, high pair first. A negative partial
-    remainder is not restored; the next step adds instead of subtracts, and
-    a single correction at the end fixes a leftover negative remainder.
-    Returns the floor square root (16 bits) and the remainder (17 bits).
+    Two input bits per step, high pair first. The partial remainder's sign
+    mask (0 or -1) drives one add/subtract unit without a branch: a
+    nonnegative remainder subtracts ``4*root+1``, a negative one is not
+    restored and adds ``4*root+3``. One end correction fixes a negative
+    remainder.
     """
+    root = rem = b & 0  # zero of b's type and shape
+    for shift in range(30, -2, -2):
+        sign = rem >> 63
+        rem = (rem << 2) + ((b >> shift) & 3) - ((((root << 2) | 1) ^ sign) + sign)
+        root = (root << 1) + 1 + (rem >> 63)
+    rem += ((root << 1) | 1) & (rem >> 63)
+    return root, rem
+
+
+def nr_sqrt(b: int) -> SqrtResult:
+    """Non-restoring square root of a 32-bit unsigned integer: the 16-bit
+    floor root and the 17-bit remainder ``b - root**2``, as Python ints."""
     b = int(b)
     if not 0 <= b <= _U32_MAX:
         raise ValueError(f"input must fit in 32 bits, got {b}")
-    root = 0
-    rem = 0
-    for i in range(15, -1, -1):
-        pair = (b >> (2 * i)) & 3
-        if rem >= 0:
-            rem = (rem << 2) + pair - ((root << 2) | 1)
-        else:
-            rem = (rem << 2) + pair + ((root << 2) | 3)
-        if rem >= 0:
-            root = (root << 1) | 1
-        else:
-            root = root << 1
-    if rem < 0:
-        rem += (root << 1) | 1
-    return SqrtResult(root=root, remainder=rem)
+    return SqrtResult(*_nr_sqrt(b))
 
 
 def nr_sqrt_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`nr_sqrt` over an array of 32-bit unsigned values.
-
-    Runs the identical recurrence on int64 lanes; the tests use it to check
-    the scalar unit over millions of inputs at once.
-    """
+    """:func:`nr_sqrt`'s recurrence on int64 lanes, keeping the input's shape;
+    the tests use it to check the unit over millions of inputs at once."""
     b = np.asarray(values, dtype=np.int64)
     if b.size and (b.min() < 0 or b.max() > _U32_MAX):
         raise ValueError("inputs must fit in 32 bits")
-    root = np.zeros(b.shape, dtype=np.int64)
-    rem = np.zeros(b.shape, dtype=np.int64)
-    for i in range(15, -1, -1):
-        pair = (b >> (2 * i)) & 3
-        nonneg = rem >= 0
-        appended = (rem << 2) + pair
-        rem = np.where(nonneg, appended - ((root << 2) | 1), appended + ((root << 2) | 3))
-        root = (root << 1) + (rem >= 0)
-    rem = np.where(rem < 0, rem + (root << 1) + 1, rem)
-    return root, rem
-
+    root, rem = _nr_sqrt(b)
+    return np.asarray(root), np.asarray(rem)

@@ -163,15 +163,15 @@ def run_variance_calibration(
     noise_bins = np.setdiff1d(np.arange(spec.n), spec.freq_bins)
     rows = []
     for trial, seed, meas in _trials(x, n_a, trials, master_seed):
-        v_spec = initial_dft(meas)
-        noise_mags = np.abs(v_spec[noise_bins])
+        mags = np.abs(initial_dft(meas))
+        noise_mags = mags[noise_bins]
         rows.append(
             CalibrationTrial(
                 trial=trial,
                 seed=seed,
                 noise_power_mean=float(np.mean(noise_mags**2)),
                 noise_mag_max=float(noise_mags.max()),
-                all_below=bool(noise_mags.max() <= effective_threshold(t, v_spec)),
+                all_below=bool(noise_mags.max() <= effective_threshold(t, mags)),
             )
         )
     return CalibrationResult(
@@ -221,9 +221,9 @@ def run_threshold_xcheck(
     rel_err = abs(t_fix - t_ref) / t_ref if t_ref > 0.0 else abs(t_fix)
     rows = []
     for trial, seed, meas in _trials(x, n_a, trials, master_seed):
-        v_spec = initial_dft(meas)
-        pos_ref = detect_positions(v_spec, effective_threshold(t_ref, v_spec))
-        pos_fix = detect_positions(v_spec, effective_threshold(t_fix, v_spec))
+        mags = np.abs(initial_dft(meas))
+        pos_ref = detect_positions(mags, t_ref)
+        pos_fix = detect_positions(mags, t_fix)
         rows.append(XcheckTrial(trial, seed, bool(np.array_equal(pos_ref, pos_fix))))
     return XcheckResult(
         trials=tuple(rows),

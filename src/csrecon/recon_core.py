@@ -197,28 +197,22 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
 
 
 def detect_positions(v_spec: np.ndarray, t: float) -> np.ndarray:
-    """Indices of the bins strictly above the threshold, ascending."""
+    """The comparator: ascending indices of the bins whose magnitude strictly
+    exceeds :func:`effective_threshold`. ``v_spec`` is the spectrum or |V|."""
     if t < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
-    v_spec = np.asarray(v_spec, dtype=complex)
-    return np.flatnonzero(np.abs(v_spec) > t).astype(np.int64)
-
-
-_DUST_FLOOR_REL = 1e-9
+    mags = np.abs(v_spec)
+    return np.flatnonzero(mags > effective_threshold(t, mags)).astype(np.int64, copy=False)
 
 
 def effective_threshold(t: float, v_spec: np.ndarray) -> float:
-    """Detection level actually used by the pipelines.
+    """Detection level: ``t`` or 1e-9 of the peak of |``v_spec``|, whichever is larger.
 
-    Never drops below 1e-9 of the spectral peak: bins that are zero in
-    exact arithmetic carry double-precision rounding dust, and with no
-    missing samples the modeled threshold is exactly zero, which would
-    otherwise flag every bin. Away from that corner the floor is orders of
-    magnitude below any modeled threshold and has no effect.
+    The floor keeps double-precision dust in bins that are zero in exact
+    arithmetic from being detected when the modeled threshold is exactly
+    zero (no missing samples); above it the floor has no effect.
     """
-    v_spec = np.asarray(v_spec, dtype=complex)
-    peak = float(np.max(np.abs(v_spec))) if v_spec.size else 0.0
-    return max(float(t), _DUST_FLOOR_REL * peak)
+    return max(float(t), 1e-9 * float(np.abs(v_spec).max(initial=0.0)))
 
 
 def build_cs_matrix(n: int, pattern: SamplingPattern, pos: np.ndarray) -> np.ndarray:
@@ -310,7 +304,7 @@ def _detect(meas: Measurement, cfg: ThresholdConfig, sum_sq_amp: float | None, t
         ssa = estimate_sum_sq_amplitudes(meas)
     var = missing_noise_variance(meas.pattern.n, meas.pattern.n_a, ssa)
     t, record = threshold_stage(meas.pattern, ssa, var, cfg)
-    pos = detect_positions(v_spec, effective_threshold(t, v_spec))
+    pos = detect_positions(v_spec, t)
     return DetectionResult(threshold=t, variance=var, positions=pos), v_spec, record
 
 

@@ -28,6 +28,19 @@ __all__ = [
 ]
 
 
+def _whole(values, what: str) -> np.ndarray:
+    """``values`` as int64; rejects any value that is not a whole number
+    instead of truncating it, and names the first one."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "iu":
+        return raw.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # NaN and inf are reported below
+        whole = raw.astype(np.int64)
+    if np.any(raw != whole):
+        raise ValueError(f"{what} must be a whole number, got {raw[raw != whole][0]}")
+    return whole
+
+
 @dataclass(frozen=True, eq=False)
 class SparseSpec:
     """Definition of a K-component multitone signal.
@@ -45,8 +58,8 @@ class SparseSpec:
     components: tuple[tuple[float, int], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((float(a), int(k)) for a, k in self.components)
-        object.__setattr__(self, "n", int(self.n))
+        comps = tuple((float(a), int(_whole(k, "frequency bin"))) for a, k in self.components)
+        object.__setattr__(self, "n", int(_whole(self.n, "signal length")))
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("at least one component required")
@@ -82,9 +95,9 @@ class SamplingPattern:
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=np.int64).copy()
+        pos = _whole(self.positions, "position")
         pos.flags.writeable = False
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", int(_whole(self.n, "signal length")))
         object.__setattr__(self, "positions", pos)
         if pos.ndim != 1 or pos.size < 1:
             raise ValueError("positions must be a nonempty 1-d sequence")
@@ -136,8 +149,8 @@ def random_pattern(n: int, n_a: int, seed: int) -> SamplingPattern:
 
     Deterministic for a fixed seed; positions are returned in draw order.
     """
-    n = int(n)
-    n_a = int(n_a)
+    n = int(_whole(n, "signal length"))
+    n_a = int(_whole(n_a, "available count"))
     if n < 1:
         raise ValueError("signal length must be positive")
     if not 1 <= n_a <= n:

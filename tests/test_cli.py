@@ -1,10 +1,13 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csrecon
 from csrecon.cli import main
 from csrecon.recon_core import idft
 from csrecon.signal_model import read_signal_csv
@@ -284,18 +287,20 @@ class TestDumpLut:
 
 
 def test_console_entry_point(tmp_path):
+    # the child interpreter imports the same csrecon as this test session
+    env = dict(os.environ, PYTHONPATH=str(Path(csrecon.__file__).parents[1]))
     sig = tmp_path / "sig.csv"
     result = subprocess.run(
         [sys.executable, "-m", "csrecon.cli", "gen", "--n", "8",
          "--tones", "1@0", "--out", str(sig)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert "wrote" in result.stdout
     bad = subprocess.run(
         [sys.executable, "-m", "csrecon.cli", "gen", "--n", "8",
          "--tones", "nope", "--out", str(tmp_path / "y.csv")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert bad.returncode == 2
     assert "error" in bad.stderr

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csrecon.hw_primitives import (
     LOG_SCALE_BITS,
@@ -160,3 +162,29 @@ class TestNrSqrt:
         expected = floor_sqrt_array(values)
         np.testing.assert_array_equal(roots, expected)
         np.testing.assert_array_equal(rems, values.astype(np.int64) - expected**2)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(0)
+    @example(1)
+    @example(2**31)
+    @example(2**32 - 1)
+    @example(65535**2)
+    @example(65535**2 + 1)
+    @example(65535**2 - 1)
+    def test_matches_isqrt_property(self, b):
+        root, rem = nr_sqrt(b)
+        assert type(root) is int and type(rem) is int
+        assert root == math.isqrt(b)
+        assert rem == b - root**2
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (3, 2)])
+    def test_batch_keeps_shape_and_dtype(self, shape):
+        values = np.arange(math.prod(shape), dtype=np.uint64).reshape(shape) * 1000 + 7
+        roots, rems = nr_sqrt_batch(values)
+        for out in (roots, rems):
+            assert isinstance(out, np.ndarray)
+            assert out.shape == shape
+            assert out.dtype == np.int64
+        np.testing.assert_array_equal(roots, floor_sqrt_array(values))
+        np.testing.assert_array_equal(rems, values.astype(np.int64) - roots**2)

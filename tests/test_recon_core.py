@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from csrecon.hw_datapath import comparator
 from csrecon.recon_core import (
     AmpMode,
     EmptySupportError,
@@ -160,12 +161,40 @@ class TestDetectPositions:
         pos = detect_positions([9, 0, 7, 0, 8], 1.0)
         np.testing.assert_array_equal(pos, [0, 2, 4])
 
+    @staticmethod
+    def assert_forms_agree(v, t):
+        mags = np.abs(v)
+        expected = np.flatnonzero(mags > max(t, 1e-9 * mags.max()))
+        for got in (detect_positions(v, t), detect_positions(mags, t),
+                    np.flatnonzero(comparator(v, t))):
+            np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_spectrum_and_magnitudes_agree(self, data):
+        # entries mix exact zeros, exact ties at t, dust near 1e-9 of the
+        # peak and ordinary values, so every side of the level is reached
+        t = data.draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0]) | st.floats(0.0, 10.0))
+        value = st.builds(complex, st.floats(-10, 10), st.floats(-10, 10))
+        dust = st.builds(complex, st.floats(-1e-8, 1e-8), st.floats(-1e-8, 1e-8))
+        entry = st.sampled_from([0j, complex(t), complex(-t), 1j * t]) | value | dust
+        v = np.array(data.draw(st.lists(entry, min_size=1, max_size=64)), dtype=complex)
+        self.assert_forms_agree(v, t)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_all_zero_spectrum_detects_nothing(self, n, t):
+        v = np.zeros(n, dtype=complex)
+        self.assert_forms_agree(v, t)
+        assert detect_positions(v, t).size == 0
+
 
 class TestEffectiveThreshold:
     def test_floor_sets_level_at_zero_threshold(self):
         v = np.array([3.0, -4.0j, 1e-12, 0.0])
         assert effective_threshold(0.0, v) == 1e-9 * 4.0
         np.testing.assert_array_equal(detect_positions(v, effective_threshold(0.0, v)), [0, 1])
+        np.testing.assert_array_equal(detect_positions(v, 0.0), [0, 1])
 
     def test_no_effect_above_floor(self):
         v = np.array([3.0, -4.0j, 1e-12, 0.0])

@@ -35,6 +35,15 @@ class TestSparseSpec:
         with pytest.raises(ValueError):
             SparseSpec(n=8, components=[(1.0, 8)])
 
+    def test_fractional_bin_rejected(self):
+        with pytest.raises(ValueError, match="frequency bin must be a whole number, got 2.9"):
+            SparseSpec(n=8, components=[(1.0, 2.9)])
+
+    def test_whole_valued_floats_accepted(self):
+        spec = SparseSpec(n=8.0, components=[(1.0, 2.0)])
+        assert spec.n == 8 and type(spec.n) is int
+        assert spec.components == ((1.0, 2),)
+
     def test_accessors(self):
         spec = SparseSpec(n=16, components=[(1.0, 2), (3.0, 9)])
         assert spec.k == 2
@@ -86,6 +95,19 @@ class TestRandomPattern:
         with pytest.raises(ValueError):
             random_pattern(8, 0, seed=0)
 
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ValueError, match="available count must be a whole number, got 2.5"):
+            random_pattern(8, 2.5, 1)
+
+    def test_fractional_length_rejected(self):
+        with pytest.raises(ValueError, match="signal length must be a whole number, got 8.5"):
+            random_pattern(8.5, 2, 1)
+
+    def test_whole_valued_floats_accepted(self):
+        np.testing.assert_array_equal(
+            random_pattern(8.0, 2.0, 1).positions, random_pattern(8, 2, 1).positions
+        )
+
     def test_uniform_inclusion(self):
         # per-position inclusion frequency over many seeds should sit at
         # n_a/n; also a chi-square check on the inclusion counts
@@ -135,6 +157,29 @@ class TestSamplingPatternValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             SamplingPattern(n=4, positions=[0, 4])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "positions,bad", [([1.5, 2.7], "1.5"), ([1.0, np.nan], "nan"), ([np.inf], "inf")]
+    )
+    def test_fractional_positions_rejected(self, positions, bad):
+        with pytest.raises(ValueError, match=f"position must be a whole number, got {bad}$"):
+            SamplingPattern(n=8, positions=positions)
+
+    def test_fractional_length_rejected(self):
+        with pytest.raises(ValueError, match="signal length must be a whole number, got 8.9"):
+            SamplingPattern(n=8.9, positions=[1, 2])
+
+    def test_whole_valued_floats_accepted(self):
+        pat = SamplingPattern(n=8.0, positions=[1.0, 2.0])
+        assert pat.n == 8 and type(pat.n) is int
+        assert pat.positions.dtype == np.int64
+        np.testing.assert_array_equal(pat.positions, [1, 2])
+
+    def test_caller_array_stays_writeable(self):
+        positions = np.array([3, 1])
+        pat = SamplingPattern(n=4, positions=positions)
+        assert positions.flags.writeable and not pat.positions.flags.writeable
 
     def test_measurement_length_checked(self):
         pat = SamplingPattern(n=4, positions=[0, 1])

@@ -68,6 +68,11 @@ COMMANDS = (
     ("recon-full-sampling-hardware", ["recon", "--in", "sig.csv", "--na", "256",
                                       "--p", "0.99", "--seed", "0", "--path", "hardware",
                                       "--out", "fullhw"]),
+    ("recon-estimate-reference", ["recon", "--in", "rand.csv", "--na", "128", "--p", "0.99",
+                                  "--seed", "2", "--amp-mode", "estimate", "--out", "estref"]),
+    ("calibrate-paper", ["calibrate", "--n", "128", "--na", "64", "--tones", "1@37",
+                         "--p", "0.9", "--variant", "paper", "--trials", "200", "--seed", "7",
+                         "--out", "calp.csv"]),
 )
 
 
