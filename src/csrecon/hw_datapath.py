@@ -22,9 +22,9 @@ from .recon_core import (
     ThresholdConfig,
     ThresholdVariant,
     _detect,
-    _finite_root_arg,
     _solve,
     _tail_probability,
+    _threshold_terms,
     detect_positions,
     initial_dft,  # noqa: F401  bench/tests/test_bench.py checks spans wrap this binding too
     missing_noise_variance,
@@ -40,9 +40,6 @@ __all__ = [
     "write_trace_csv",
 ]
 
-_LOG2_10 = math.log2(10.0)
-_LN_10 = math.log(10.0)
-
 
 @dataclass(frozen=True)
 class FixedThresholdTrace:
@@ -51,7 +48,9 @@ class FixedThresholdTrace:
     ``var_fixed`` is the Q15 image of the variance, ``log_term`` the raw LUT
     logarithm of 1 - p**(1/n), ``root_in``/``root_out`` the integer square
     root stage, ``scale_shift`` the even power of two applied to fit the
-    root argument into 32 bits, and ``t_fixed`` the rescaled final value.
+    root argument into 32 bits, and ``t_fixed`` the rescaled root times the
+    variant's scale. The root argument is -var * ln(1 - p**(1/n)) for
+    ``ref10`` and -log10(1 - p**(1/n)) for ``paper``, whose scale is var/n.
     """
 
     var_fixed: int
@@ -71,24 +70,19 @@ def threshold_fixed(
 ) -> FixedThresholdTrace:
     """Threshold computed through the fixed-point primitives.
 
-    The logarithm goes through the Q15 LUT, the square root through the
-    32-bit non-restoring unit. The root argument is prescaled by an even
-    power of two so its most significant bit lands at position 29 or 30,
-    then the root is post-scaled by half that exponent; even shifts keep the
-    rescaling exact. Stays within 1e-3 relative of the double-precision
-    threshold across the supported variance range.
+    The reference closed form with the logarithm from the Q15 LUT and the
+    square root from the 32-bit non-restoring unit. The root argument is
+    prescaled by an even power of two so its most significant bit lands at
+    position 29 or 30, then the root is post-scaled by half that exponent;
+    even shifts keep the rescaling exact. Stays within 1e-3 relative of the
+    double-precision threshold for variances from 1e-6 to 1e300.
     """
     cfg = ThresholdConfig(p=p, variant=variant)
     var = missing_noise_variance(n, n_a, sum_sq_amp)
 
     # the n-th root of p has no dedicated hardware unit; host precision
     log_term = lut_log2(_tail_probability(cfg.p, n))
-    log10_u = log_term.value / _LOG2_10
-    if cfg.variant is ThresholdVariant.PAPER:
-        root_arg = -(var * var) * log10_u
-    else:
-        root_arg = -var * (log10_u * _LN_10)
-    root_arg = _finite_root_arg(root_arg)
+    scale, root_arg = _threshold_terms(var, log_term.value * math.log(2.0), n, cfg.variant)
 
     _, exp = math.frexp(root_arg)  # root_arg in [2**(exp-1), 2**exp), or 0
     shift = 30 - exp
@@ -96,15 +90,12 @@ def threshold_fixed(
         shift += 1
     root_in = round(math.ldexp(root_arg, shift))
     root_out = nr_sqrt(root_in)
-    root_value = math.ldexp(root_out.root, -(shift // 2))
-
-    t_fixed = root_value / n if cfg.variant is ThresholdVariant.PAPER else root_value
     return FixedThresholdTrace(
         var_fixed=round(math.ldexp(var, 15)),
         log_term=log_term,
         root_in=root_in,
         root_out=root_out,
-        t_fixed=t_fixed,
+        t_fixed=scale * math.ldexp(root_out.root, -(shift // 2)),
         scale_shift=shift,
     )
 

@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .signal_model import _whole
+
 __all__ = [
     "LOG_SCALE_BITS",
     "LUT_INDEX_BITS",
@@ -125,7 +127,7 @@ def _nr_sqrt(b):
 def nr_sqrt(b: int) -> SqrtResult:
     """Non-restoring square root of a 32-bit unsigned integer: the 16-bit
     floor root and the 17-bit remainder ``b - root**2``, as Python ints."""
-    b = int(b)
+    b = int(_whole(b, "input"))
     if not 0 <= b <= _U32_MAX:
         raise ValueError(f"input must fit in 32 bits, got {b}")
     return SqrtResult(*_nr_sqrt(b))
@@ -134,7 +136,7 @@ def nr_sqrt(b: int) -> SqrtResult:
 def nr_sqrt_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`nr_sqrt`'s recurrence on int64 lanes, keeping the input's shape;
     the tests use it to check the unit over millions of inputs at once."""
-    b = np.asarray(values, dtype=np.int64)
+    b = _whole(values, "input")
     if b.size and (b.min() < 0 or b.max() > _U32_MAX):
         raise ValueError("inputs must fit in 32 bits")
     root, rem = _nr_sqrt(b)

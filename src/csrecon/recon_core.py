@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .csvio import fmt, write_csv
-from .signal_model import Measurement, SamplingPattern, estimate_sum_sq_amplitudes
+from .signal_model import Measurement, SamplingPattern, _whole, estimate_sum_sq_amplitudes
 
 __all__ = [
     "ThresholdVariant",
@@ -60,12 +60,12 @@ class SingularSystemError(ValueError):
 class ThresholdVariant(str, Enum):
     """Which closed form the threshold uses.
 
-    ``paper``: T = (1/n) * sqrt(-var**2 * log10(1 - P**(1/n)))
+    ``paper``: T = (var/n) * sqrt(-log10(1 - P**(1/n)))
     ``ref10``: T = sqrt(-var * ln(1 - P**(1/n)))
 
     The ``ref10`` form matches the exponential tail statistics of the
-    missing-sample noise and is the default; ``paper`` keeps the
-    squared-variance, base-10 form available for comparison.
+    missing-sample noise and is the default; ``paper`` keeps the paper's
+    base-10 form, linear in the variance, available for comparison.
     """
 
     PAPER = "paper"
@@ -151,8 +151,8 @@ def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
     samples perturbs every DFT bin, and the perturbation's second moment
     follows the without-replacement sampling variance of the phase sums.
     """
-    n = int(n)
-    n_a = int(n_a)
+    n = int(_whole(n, "signal length"))
+    n_a = int(_whole(n_a, "available count"))
     sum_sq_amp = float(sum_sq_amp)
     if n < 2:
         raise ValueError(f"signal length must be at least 2, got {n}")
@@ -172,12 +172,18 @@ def _tail_probability(p: float, n: int) -> float:
     return u
 
 
-def _finite_root_arg(root_arg: float) -> float:
-    """The square-root argument of both threshold paths; rejects one that
-    overflowed, since no finite threshold can stand for it."""
-    if not math.isfinite(root_arg):
-        raise ValueError(f"threshold overflows: square-root argument is {root_arg}")
-    return root_arg
+def _threshold_terms(var: float, ln_u: float, n: int, variant: ThresholdVariant):
+    """Both threshold stages' closed form as T = scale * sqrt(root_arg), with
+    ``ln_u`` = ln(1 - p**(1/n)). The variance stays outside the root for
+    ``paper``, so a term overflows only where T does; that raises."""
+    if variant is ThresholdVariant.PAPER:
+        scale, root_arg = var / n, -ln_u / math.log(10.0)
+    else:
+        scale, root_arg = 1.0, -var * ln_u
+    for name, term in (("scale", scale), ("square-root argument", root_arg)):
+        if not math.isfinite(term):
+            raise ValueError(f"threshold overflows: {name} is {term}")
+    return scale, root_arg
 
 
 def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
@@ -190,10 +196,9 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
     var = float(var)
     if var < 0.0:
         raise ValueError(f"variance must be nonnegative, got {var}")
-    u = _tail_probability(cfg.p, n)
-    if cfg.variant is ThresholdVariant.PAPER:
-        return (1.0 / n) * math.sqrt(_finite_root_arg(-(var * var) * math.log10(u)))
-    return math.sqrt(_finite_root_arg(-var * math.log(u)))
+    ln_u = math.log(_tail_probability(cfg.p, n))
+    scale, root_arg = _threshold_terms(var, ln_u, n, cfg.variant)
+    return scale * math.sqrt(root_arg)
 
 
 def detect_positions(v_spec: np.ndarray, t: float) -> np.ndarray:

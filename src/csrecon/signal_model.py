@@ -29,15 +29,17 @@ __all__ = [
 
 
 def _whole(values, what: str) -> np.ndarray:
-    """``values`` as int64; rejects any value that is not a whole number
-    instead of truncating it, and names the first one."""
+    """``values`` as int64; rejects a value that is not a whole number or does
+    not fit in 64 bits instead of truncating or wrapping it, and names it."""
     raw = np.asarray(values)
-    if raw.dtype.kind in "iu":
+    if raw.dtype.kind == "i":
         return raw.astype(np.int64)
     with np.errstate(invalid="ignore"):  # NaN and inf are reported below
-        whole = raw.astype(np.int64)
-    if np.any(raw != whole):
-        raise ValueError(f"{what} must be a whole number, got {raw[raw != whole][0]}")
+        whole = np.where((raw < -2**63) | (raw >= 2**63), 0, raw).astype(np.int64)
+        if np.any(raw != whole):
+            bad = raw[raw != whole][0]
+            need = "fit in 64 bits" if bad % 1 == 0 else "be a whole number"
+            raise ValueError(f"{what} must {need}, got {bad}")
     return whole
 
 

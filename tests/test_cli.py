@@ -163,11 +163,11 @@ class TestRecon:
 
     @pytest.mark.parametrize("path", ["reference", "hardware"])
     def test_threshold_overflow_is_config_error(self, tmp_path, path, capsys):
+        # var = 16.25 * 1.4e153**2 ≈ 3.2e307; times -ln(1 - 0.99**(1/64)) ≈ 8.8 it overflows
         sig = tmp_path / "huge.csv"
-        assert run("gen", "--n", "64", "--tones", "1e80@5", "--out", str(sig)) == 0
+        assert run("gen", "--n", "64", "--tones", "1.4e153@5", "--out", str(sig)) == 0
         code = run("recon", "--in", str(sig), "--na", "32", "--p", "0.99",
-                   "--seed", "1", "--variant", "paper", "--path", path,
-                   "--out", str(tmp_path / "huge"))
+                   "--seed", "1", "--path", path, "--out", str(tmp_path / "huge"))
         assert code == 2
         assert "threshold overflows" in capsys.readouterr().err
 

@@ -91,7 +91,7 @@ class TestThresholdFixed:
         n=st.integers(min_value=8, max_value=65536),
         na_frac=st.floats(min_value=0.0, max_value=1.0),
         p=st.floats(min_value=0.5, max_value=0.9999),
-        log10_var=st.floats(min_value=-6.0, max_value=12.0),
+        log10_var=st.floats(min_value=-6.0, max_value=300.0),
         variant=st.sampled_from(list(ThresholdVariant)),
     )
     def test_relative_error_property(self, n, na_frac, p, log10_var, variant):

@@ -148,6 +148,18 @@ class TestNrSqrt:
         with pytest.raises(ValueError):
             nr_sqrt(1 << 32)
 
+    def test_fractional_input_rejected(self):
+        with pytest.raises(ValueError, match="input must be a whole number, got 2.5"):
+            nr_sqrt(2.5)
+        with pytest.raises(ValueError, match="input must be a whole number, got 8.7"):
+            nr_sqrt_batch([8.7])
+
+    def test_whole_valued_floats_accepted(self):
+        assert nr_sqrt(4.0) == (2, 0)
+        roots, rems = nr_sqrt_batch([8.0, 16.0])
+        np.testing.assert_array_equal(roots, [2, 4])
+        np.testing.assert_array_equal(rems, [4, 0])
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(23)
         values = rng.integers(0, 1 << 32, size=4096, dtype=np.uint64)

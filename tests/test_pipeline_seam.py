@@ -57,14 +57,24 @@ def test_probability_too_close_to_one_rejected_on_both_paths():
         threshold_fixed(1024, 512, 1.0, p)
 
 
-@pytest.mark.parametrize("variant, ssa", [("paper", 1e160), ("ref10", 1e307)])
+@pytest.mark.parametrize("variant, ssa", [("paper", 1e308), ("ref10", 1e307)])
 def test_threshold_overflow_rejected_on_both_paths(variant, ssa):
-    # n=64, n_a=32 gives var = 16.25 * ssa; the root argument overflows to inf
+    # n=64, n_a=32 gives var = 16.25 * ssa: inf for paper, whose scale var/n
+    # overflows, and 1.6e308 for ref10, whose root argument -var * ln u does
     var = missing_noise_variance(64, 32, ssa)
     with pytest.raises(ValueError, match="threshold overflows"):
         threshold(var, 64, ThresholdConfig(p=0.99, variant=variant))
     with pytest.raises(ValueError, match="threshold overflows"):
         threshold_fixed(64, 32, ssa, 0.99, variant)
+
+
+def test_paper_threshold_finite_where_squared_variance_overflows():
+    # var = 1.6e161, so var**2 is inf, but T = var/n * sqrt(-log10 u) is 4.95e159
+    var = missing_noise_variance(64, 32, 1e160)
+    t_ref = threshold(var, 64, ThresholdConfig(p=0.99, variant="paper"))
+    t_fix = threshold_fixed(64, 32, 1e160, 0.99, "paper").t_fixed
+    assert t_ref == pytest.approx(4.95e159, rel=1e-3)
+    assert abs(t_fix - t_ref) <= 1e-3 * t_ref
 
 
 def _outcome(pipeline, meas, cfg, ssa):

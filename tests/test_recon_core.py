@@ -102,6 +102,13 @@ class TestMissingNoiseVariance:
         with pytest.raises(ValueError):
             missing_noise_variance(8, 4, -1.0)
 
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(ValueError, match="signal length must be a whole number, got 8.9"):
+            missing_noise_variance(8.9, 2, 1.0)
+        with pytest.raises(ValueError, match="available count must be a whole number, got 2.5"):
+            missing_noise_variance(8, 2.5, 1.0)
+        assert missing_noise_variance(8.0, 2.0, 1.0) == missing_noise_variance(8, 2, 1.0)
+
     def test_matches_monte_carlo(self):
         # empirical noise-bin power of the initial DFT against the model
         n, n_a = 128, 64
@@ -145,6 +152,23 @@ class TestThreshold:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             threshold(-1.0, 64, ThresholdConfig(p=0.9))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=65536),
+        p=st.floats(min_value=0.5, max_value=0.9999),
+        log10_var=st.floats(min_value=-6.0, max_value=300.0),
+    )
+    def test_closed_forms_property(self, n, p, log10_var):
+        # both forms stay finite up to var = 1e300; the paper form's variance
+        # is outside the root, so squaring it cannot overflow
+        var = 10.0**log10_var
+        u = 1.0 - p ** (1.0 / n)
+        forms = {"paper": var / n * math.sqrt(-math.log10(u)), "ref10": math.sqrt(-var * math.log(u))}
+        for variant, expected in forms.items():
+            got = threshold(var, n, ThresholdConfig(p=p, variant=variant))
+            assert math.isfinite(got)
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestDetectPositions:

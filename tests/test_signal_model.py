@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -107,6 +109,12 @@ class TestRandomPattern:
         np.testing.assert_array_equal(
             random_pattern(8.0, 2.0, 1).positions, random_pattern(8, 2, 1).positions
         )
+
+    @pytest.mark.parametrize("n", [2**63, 2**64, 2.0**63])
+    def test_length_past_int64_rejected(self, n):
+        # a cast to int64 alone wraps 2**63 to -2**63, a nonpositive length
+        with pytest.raises(ValueError, match=re.escape(f"signal length must fit in 64 bits, got {n}")):
+            random_pattern(n, 2, 1)
 
     def test_uniform_inclusion(self):
         # per-position inclusion frequency over many seeds should sit at

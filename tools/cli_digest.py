@@ -59,8 +59,9 @@ COMMANDS = (
                               "--p", "0.99", "--trials", "20", "--seed", "2",
                               "--out", "xcfull.csv"]),
     ("gen-huge-tone", ["gen", "--n", "64", "--tones", "1e80@5", "--out", "huge.csv"]),
-    ("recon-paper-overflow", ["recon", "--in", "huge.csv", "--na", "32", "--p", "0.99",
-                              "--seed", "1", "--variant", "paper", "--out", "huge"]),
+    # var = 1.6e161: var**2 overflows, the paper threshold var/n * sqrt(-log10 u) does not
+    ("recon-paper-huge-variance", ["recon", "--in", "huge.csv", "--na", "32", "--p", "0.99",
+                                   "--seed", "1", "--variant", "paper", "--out", "huge"]),
     ("gen-alias", ["gen", "--n", "8", "--tones", "1@1,1@5", "--out", "alias.csv"]),
     # positions {0, 2, 4, 6}: bins 1 and 5 alias and both are detected
     ("recon-singular", ["recon", "--in", "alias.csv", "--na", "4", "--p", "0.99",
@@ -73,6 +74,15 @@ COMMANDS = (
     ("calibrate-paper", ["calibrate", "--n", "128", "--na", "64", "--tones", "1@37",
                          "--p", "0.9", "--variant", "paper", "--trials", "200", "--seed", "7",
                          "--out", "calp.csv"]),
+    ("gen-paper-tone", ["gen", "--n", "64", "--tones", "40@5", "--out", "tone.csv"]),
+    # the paper threshold on the hardware path, through to a written trace
+    ("recon-paper-hardware", ["recon", "--in", "tone.csv", "--na", "32", "--p", "0.99",
+                              "--seed", "1", "--variant", "paper", "--path", "hardware",
+                              "--out", "paperhw"]),
+    ("gen-ref10-overflow", ["gen", "--n", "64", "--tones", "1.4e153@5", "--out", "over.csv"]),
+    # var = 3.2e307: the ref10 root argument -var * ln u overflows, exit 2
+    ("recon-ref10-overflow", ["recon", "--in", "over.csv", "--na", "32", "--p", "0.99",
+                              "--seed", "1", "--out", "over"]),
 )
 
 
