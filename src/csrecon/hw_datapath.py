@@ -91,7 +91,8 @@ def threshold_fixed(
     root_in = round(math.ldexp(root_arg, shift))
     root_out = nr_sqrt(root_in)
     return FixedThresholdTrace(
-        var_fixed=round(math.ldexp(var, 15)),
+        # exact in integers: ldexp(var, 15) overflows a double past about 5.5e303
+        var_fixed=(int(var) << 15) + round(math.ldexp(var - int(var), 15)),
         log_term=log_term,
         root_in=root_in,
         root_out=root_out,
@@ -149,7 +150,7 @@ def write_trace_csv(path, trace: FixedThresholdTrace) -> None:
     """Dump the threshold datapath stages as ``stage,raw_value,scaled_value``."""
     half_shift = trace.scale_shift // 2
     rows = [
-        ("variance", trace.var_fixed, fmt(math.ldexp(trace.var_fixed, -15))),
+        ("variance", trace.var_fixed, fmt(trace.var_fixed / 2**15)),
         ("log2_term", trace.log_term.raw, fmt(trace.log_term.value)),
         ("root_in", trace.root_in, fmt(math.ldexp(trace.root_in, -trace.scale_shift))),
         ("root", trace.root_out.root, fmt(math.ldexp(trace.root_out.root, -half_shift))),

@@ -226,17 +226,21 @@ def build_cs_matrix(n: int, pattern: SamplingPattern, pos: np.ndarray) -> np.nda
     ``a[m, i] = (1/n) * exp(+2j*pi*positions[m]*pos[i]/n)``. With this
     convention the measurement equals the matrix applied to the unnormalized
     DFT restricted to the detected bins, so the solved amplitudes land on the
-    same scale as the initial DFT.
+    same scale as the initial DFT. Entries come from an n-entry twiddle table
+    at the phase index ``positions[m]*pos[i] mod n``, reduced exactly in int64.
     """
-    n = int(n)
-    pos = np.asarray(pos, dtype=np.int64)
+    n = int(_whole(n, "signal length"))
+    pos = _whole(pos, "frequency bin", n)
     if pos.size == 0:
         raise EmptySupportError("no detected bins to build the matrix from")
     if pos.size > pattern.n_a:
         raise UnderdeterminedError(
             f"{pos.size} detected bins but only {pattern.n_a} measurements"
         )
-    return np.exp(2j * np.pi * np.outer(pattern.positions, pos) / n) / n
+    phase = np.outer(pattern.positions, pos)
+    phase %= n  # in place, sparing a second array of the product's size
+    angle = 2 * np.pi * np.arange(n) / n  # real: numpy's complex division rounds twice
+    return (np.exp(1j * angle) / n)[phase]
 
 
 def hermitian(mtx: np.ndarray) -> np.ndarray:
@@ -275,10 +279,11 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
 def spectral_positioning(x_tp: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:
     """Place the solved amplitudes at their bins; all other bins are zero."""
     x_tp = np.asarray(x_tp, dtype=complex)
-    pos = np.asarray(pos, dtype=np.int64)
+    n = int(_whole(n, "signal length"))
+    pos = _whole(pos, "frequency bin", n)
     if x_tp.size != pos.size:
         raise ValueError(f"{x_tp.size} amplitudes for {pos.size} positions")
-    spectrum = np.zeros(int(n), dtype=complex)
+    spectrum = np.zeros(n, dtype=complex)
     spectrum[pos] = x_tp
     return spectrum
 

@@ -28,18 +28,23 @@ __all__ = [
 ]
 
 
-def _whole(values, what: str) -> np.ndarray:
+def _whole(values, what: str, below: int | None = None) -> np.ndarray:
     """``values`` as int64; rejects a value that is not a whole number or does
-    not fit in 64 bits instead of truncating or wrapping it, and names it."""
+    not fit in 64 bits instead of truncating or wrapping it, or, given
+    ``below``, that lies outside [0, below), and names it."""
     raw = np.asarray(values)
     if raw.dtype.kind == "i":
-        return raw.astype(np.int64)
-    with np.errstate(invalid="ignore"):  # NaN and inf are reported below
-        whole = np.where((raw < -2**63) | (raw >= 2**63), 0, raw).astype(np.int64)
-        if np.any(raw != whole):
-            bad = raw[raw != whole][0]
-            need = "fit in 64 bits" if bad % 1 == 0 else "be a whole number"
-            raise ValueError(f"{what} must {need}, got {bad}")
+        whole = raw.astype(np.int64)
+    else:
+        with np.errstate(invalid="ignore"):  # NaN and inf are reported below
+            whole = np.where((raw < -2**63) | (raw >= 2**63), 0, raw).astype(np.int64)
+            if np.any(raw != whole):
+                bad = raw[raw != whole][0]
+                need = "fit in 64 bits" if bad % 1 == 0 else "be a whole number"
+                raise ValueError(f"{what} must {need}, got {bad}")
+    if below is not None and ((whole < 0) | (whole >= below)).any():
+        bad = whole[(whole < 0) | (whole >= below)][0]
+        raise ValueError(f"{what} {bad} outside [0, {below})")
     return whole
 
 
@@ -60,8 +65,9 @@ class SparseSpec:
     components: tuple[tuple[float, int], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((float(a), int(_whole(k, "frequency bin"))) for a, k in self.components)
         object.__setattr__(self, "n", int(_whole(self.n, "signal length")))
+        comps = tuple((float(a), int(_whole(k, "frequency bin", self.n)))
+                      for a, k in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("at least one component required")
@@ -70,11 +76,9 @@ class SparseSpec:
         bins = [k for _, k in comps]
         if len(set(bins)) != len(bins):
             raise ValueError(f"duplicate frequency bins: {sorted(bins)}")
-        for a, k in comps:
+        for a, _ in comps:
             if not a > 0:
                 raise ValueError(f"amplitude must be strictly positive, got {a}")
-            if not 0 <= k < self.n:
-                raise ValueError(f"frequency bin {k} outside [0, {self.n})")
 
     @property
     def k(self) -> int:
@@ -97,9 +101,9 @@ class SamplingPattern:
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = _whole(self.positions, "position")
-        pos.flags.writeable = False
         object.__setattr__(self, "n", int(_whole(self.n, "signal length")))
+        pos = _whole(self.positions, "position", self.n)
+        pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         if pos.ndim != 1 or pos.size < 1:
             raise ValueError("positions must be a nonempty 1-d sequence")
@@ -107,8 +111,6 @@ class SamplingPattern:
             raise ValueError(f"{pos.size} positions exceed signal length {self.n}")
         if np.unique(pos).size != pos.size:
             raise ValueError("positions must be distinct")
-        if pos.min() < 0 or pos.max() >= self.n:
-            raise ValueError(f"positions must lie in [0, {self.n})")
 
     @property
     def n_a(self) -> int:

@@ -171,6 +171,17 @@ class TestRecon:
         assert code == 2
         assert "threshold overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["reference", "hardware"])
+    def test_q15_variance_overflow_still_thresholds(self, tmp_path, path, capsys):
+        # var = 1.6e305: its Q15 image overflows a double, the paper threshold 4.95e303 does not
+        sig = tmp_path / "big.csv"
+        assert run("gen", "--n", "64", "--tones", "1e152@5", "--out", str(sig)) == 0
+        prefix = tmp_path / "big"
+        code = run("recon", "--in", str(sig), "--na", "32", "--p", "0.99", "--seed", "1",
+                   "--variant", "paper", "--path", path, "--out", str(prefix))
+        assert code == 3
+        assert float(read_metrics(prefix)["threshold"]) == pytest.approx(4.95e303, rel=1e-3)
+
     @pytest.mark.parametrize("body", ["", "0,1,0\n1,1\n", "0,1,0\n1,nan,0\n",
                                       "0,1,0\n2,1,0\n1,1,0\n7,1,0\n",
                                       "foo,1,0\nbar,1,0\n"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,19 @@ class TestThresholdFixed:
         )
         t_fix = threshold_fixed(n, n_a, ssa, p, variant).t_fixed
         assert abs(t_fix - t_ref) <= 1e-3 * t_ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(ssa=st.floats(min_value=0.0, max_value=3e302))
+    def test_q15_variance_matches_float_rounding(self, ssa):
+        # var = 16.25 * ssa stays below 5.5e303, where ldexp(var, 15) is still finite
+        var = missing_noise_variance(64, 32, ssa)
+        assert threshold_fixed(64, 32, ssa, 0.99, "paper").var_fixed == round(math.ldexp(var, 15))
+
+    def test_q15_variance_exact_past_double_range(self):
+        var = missing_noise_variance(64, 32, 1e306)  # 1.6e307: times 2**15 overflows a double
+        trace = threshold_fixed(64, 32, 1e306, 0.99, "paper")
+        assert trace.var_fixed == int(var) * 2**15
+        assert math.isfinite(trace.t_fixed)
 
 
 class TestComparator:

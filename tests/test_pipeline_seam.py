@@ -77,6 +77,20 @@ def test_paper_threshold_finite_where_squared_variance_overflows():
     assert abs(t_fix - t_ref) <= 1e-3 * t_ref
 
 
+def test_paper_threshold_finite_where_q15_variance_overflows():
+    # var = 1.6e305, so ldexp(var, 15) overflows a double; T = var/n * sqrt(-log10 u) is 4.95e303
+    meas = sample(synthesize(SparseSpec(n=64, components=[(1e152, 5)])),
+                  random_pattern(64, 32, seed=1))
+    cfg = ThresholdConfig(p=0.99, variant="paper")
+    ssa = 1e304
+    ref = reconstruct(meas, cfg, ssa)
+    hw, trace = reconstruct_hardware(meas, cfg, ssa)
+    assert math.isfinite(ref.detection.threshold) and math.isfinite(hw.detection.threshold)
+    assert ref.detection.threshold == pytest.approx(4.95e303, rel=1e-3)
+    assert abs(hw.detection.threshold - ref.detection.threshold) <= 1e-3 * ref.detection.threshold
+    assert trace.var_fixed == int(ref.detection.variance) << 15
+
+
 def _outcome(pipeline, meas, cfg, ssa):
     """The pipeline's result, or the type of the linear-algebra error it raised."""
     try:

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +260,53 @@ class TestBuildCsMatrix:
         with pytest.raises(UnderdeterminedError):
             build_cs_matrix(8, pat, [1, 2, 3])
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_entries_match_reduced_phase_oracle(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=4096), label="n")
+        n_a = data.draw(st.integers(min_value=1, max_value=min(n, 64)), label="n_a")
+        pat = random_pattern(n, n_a, data.draw(st.integers(0, 2**31 - 1), label="seed"))
+        bins = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n_a, 8)),
+                         label="bins")
+        a = build_cs_matrix(n, pat, bins)
+        for m, p in enumerate(pat.positions):
+            for i, k in enumerate(bins):
+                want = cmath.exp(2j * math.pi * ((int(p) * k) % n) / n) / n
+                assert abs(a[m, i] - want) <= 1e-15 / n
+
+    def test_large_n_phase_is_exact(self):
+        # unreduced, the phase 2*pi*p*k/n of p*k near 2.7e8 carries errors near 1e-11/n
+        n = 16384
+        pat = random_pattern(n, 2048, seed=5)
+        bins = np.concatenate([[n - 1, n // 2 + 1], np.random.default_rng(5).choice(n, 30)])
+        a = build_cs_matrix(n, pat, bins)
+        pi = 4 * np.arctan(np.longdouble(1))
+        phase = 2 * pi * (np.outer(pat.positions, bins) % n).astype(np.longdouble) / n
+        err = np.hypot(a.real - np.cos(phase) / n, a.imag - np.sin(phase) / n)
+        assert err.max() * n <= 1e-14
+
+    def test_aliased_columns_identical(self):
+        # even positions on an 8-point grid: 5*p = p (mod 8), so bins 1 and 5 alias exactly
+        pat = SamplingPattern(n=8, positions=[0, 2, 4, 6])
+        a = build_cs_matrix(8, pat, [1, 5])
+        np.testing.assert_array_equal(a[:, 0], a[:, 1])
+
+    def test_length_must_be_whole(self):
+        pat = random_pattern(32, 8, seed=0)
+        with pytest.raises(ValueError, match="signal length must be a whole number, got 32.7"):
+            build_cs_matrix(32.7, pat, [1])
+
+    def test_bin_must_be_whole(self):
+        pat = random_pattern(32, 8, seed=0)
+        with pytest.raises(ValueError, match="frequency bin must be a whole number, got 1.5"):
+            build_cs_matrix(32, pat, [1.5])
+
+    @pytest.mark.parametrize("bad", [40, 32, -1])
+    def test_bin_outside_grid(self, bad):
+        pat = random_pattern(32, 8, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"frequency bin {bad} outside [0, 32)")):
+            build_cs_matrix(32, pat, [3, bad])
+
 
 class TestHermitian:
     def test_real_diagonal_fixed(self):
@@ -374,6 +423,19 @@ class TestSpectralPositioning:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             spectral_positioning([1.0, 2.0], [3], 8)
+
+    def test_bin_must_be_whole(self):
+        with pytest.raises(ValueError, match="frequency bin must be a whole number, got 1.9"):
+            spectral_positioning([5.0], [1.9], 4)
+
+    def test_length_must_be_whole(self):
+        with pytest.raises(ValueError, match="signal length must be a whole number, got 4.5"):
+            spectral_positioning([5.0], [1], 4.5)
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_bin_outside_grid(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"frequency bin {bad} outside [0, 4)")):
+            spectral_positioning([5.0], [bad], 4)
 
 
 class TestIdft:

@@ -83,6 +83,14 @@ COMMANDS = (
     # var = 3.2e307: the ref10 root argument -var * ln u overflows, exit 2
     ("recon-ref10-overflow", ["recon", "--in", "over.csv", "--na", "32", "--p", "0.99",
                               "--seed", "1", "--out", "over"]),
+    ("gen-q15-overflow", ["gen", "--n", "64", "--tones", "1e152@5", "--out", "q15.csv"]),
+    # var = 1.6e305: its Q15 image overflows a double, the paper threshold 4.95e303 does not;
+    # nothing is detected, exit 3 on both paths
+    ("recon-q15-overflow-reference", ["recon", "--in", "q15.csv", "--na", "32", "--p", "0.99",
+                                      "--seed", "1", "--variant", "paper", "--out", "q15ref"]),
+    ("recon-q15-overflow-hardware", ["recon", "--in", "q15.csv", "--na", "32", "--p", "0.99",
+                                     "--seed", "1", "--variant", "paper", "--path", "hardware",
+                                     "--out", "q15hw"]),
 )
 
 
