@@ -18,7 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .csvio import fmt, write_csv
-from .signal_model import Measurement, SamplingPattern, _whole, estimate_sum_sq_amplitudes
+from .signal_model import (Measurement, SamplingPattern, _whole, estimate_sum_sq_amplitudes,
+                           spectral_positioning)
 
 __all__ = [
     "ThresholdVariant",
@@ -165,7 +166,11 @@ def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
 
 def _tail_probability(p: float, n: int) -> float:
     """``1 - p**(1/n)``, which both threshold paths take the logarithm of;
-    rejects a ``p`` so close to 1 that it rounds to 0."""
+    rejects a length that is not a whole number of at least 2, and a ``p`` so
+    close to 1 that the result rounds to 0."""
+    n = int(_whole(n, "signal length"))
+    if n < 2:
+        raise ValueError(f"signal length must be at least 2, got {n}")
     u = 1.0 - p ** (1.0 / n)
     if u <= 0.0:
         raise ValueError(f"probability {p} is too close to 1 for length {n}")
@@ -230,6 +235,8 @@ def build_cs_matrix(n: int, pattern: SamplingPattern, pos: np.ndarray) -> np.nda
     at the phase index ``positions[m]*pos[i] mod n``, reduced exactly in int64.
     """
     n = int(_whole(n, "signal length"))
+    if n != pattern.n:
+        raise ValueError(f"signal length {n} does not match pattern length {pattern.n}")
     pos = _whole(pos, "frequency bin", n)
     if pos.size == 0:
         raise EmptySupportError("no detected bins to build the matrix from")
@@ -254,7 +261,8 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     Forms the normal equations ``AᴴA x = Aᴴv`` and solves them with one LU
     factorization (LAPACK, through numpy). The gate is the R of a QR of
     ``AᴴA``: :class:`SingularSystemError` is raised when R has a diagonal
-    entry below 1e-10 of the largest. For a consistent system, i.e. the true
+    entry below 1e-10 of the largest. A non-finite ``AᴴA`` or ``Aᴴv`` raises
+    :class:`ValueError` before the gate. For a consistent system, i.e. the true
     support under noiseless sampling, the solution is exactly n times the
     component amplitudes.
     """
@@ -266,26 +274,17 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.shape != (rows,):
         raise ValueError(f"right-hand side length {v.shape} does not match {rows} rows")
     ah = hermitian(a_cs)
-    gram = ah @ a_cs
+    with np.errstate(invalid="ignore", over="ignore"):  # reported below
+        gram, rhs = ah @ a_cs, ah @ v
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise ValueError("least-squares system is not finite (NaN, inf or overflow in AᴴA or Aᴴv)")
     diag = np.abs(np.diag(np.linalg.qr(gram, mode="r")))
     if diag.max() == 0.0 or diag.min() < 1e-10 * diag.max():
         raise SingularSystemError(
             "normal-equation matrix is numerically singular "
             f"(diagonal spread {diag.min():.3e} / {diag.max():.3e})"
         )
-    return np.linalg.solve(gram, ah @ v)
-
-
-def spectral_positioning(x_tp: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:
-    """Place the solved amplitudes at their bins; all other bins are zero."""
-    x_tp = np.asarray(x_tp, dtype=complex)
-    n = int(_whole(n, "signal length"))
-    pos = _whole(pos, "frequency bin", n)
-    if x_tp.size != pos.size:
-        raise ValueError(f"{x_tp.size} amplitudes for {pos.size} positions")
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[pos] = x_tp
-    return spectrum
+    return np.linalg.solve(gram, rhs)
 
 
 def idft(x_spec: np.ndarray) -> np.ndarray:

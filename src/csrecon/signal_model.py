@@ -18,6 +18,7 @@ __all__ = [
     "SparseSpec",
     "SamplingPattern",
     "Measurement",
+    "spectral_positioning",
     "synthesize",
     "random_pattern",
     "sample",
@@ -137,15 +138,25 @@ class Measurement:
             raise ValueError("measurement values must be finite")
 
 
-def synthesize(spec: SparseSpec) -> np.ndarray:
-    """Generate the multitone time signal defined by ``spec``.
+def spectral_positioning(x_tp: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:
+    """Place the amplitudes at their distinct bins; all other bins are zero."""
+    x_tp = np.asarray(x_tp, dtype=complex)
+    n = int(_whole(n, "signal length"))
+    pos = _whole(pos, "frequency bin", n)
+    if x_tp.size != pos.size:
+        raise ValueError(f"{x_tp.size} amplitudes for {pos.size} positions")
+    if np.unique(pos).size != pos.size:
+        raise ValueError(f"duplicate frequency bins: {sorted(pos.tolist())}")
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[pos] = x_tp
+    return spectrum
 
-    Returns the length-n complex vector with
-    ``x[t] = sum_i amplitude_i * exp(2j*pi*bin_i*t/n)``.
-    """
-    t = np.arange(spec.n)
-    phases = np.exp(2j * np.pi * np.outer(spec.freq_bins, t) / spec.n)
-    return (spec.amplitudes[:, None] * phases).sum(axis=0)
+
+def synthesize(spec: SparseSpec) -> np.ndarray:
+    """The multitone signal ``x[t] = sum_i amplitude_i * exp(2j*pi*bin_i*t/n)`` of ``spec``,
+    formed as the pipeline forms its time signal: the amplitudes at their bins, then an
+    inverse FFT without the 1/n scaling, whose twiddles keep every phase exact."""
+    return np.fft.ifft(spectral_positioning(spec.amplitudes, spec.freq_bins, spec.n), norm="forward")
 
 
 def random_pattern(n: int, n_a: int, seed: int) -> SamplingPattern:

@@ -1,8 +1,8 @@
 """Independent oracles shared across test modules.
 
 These deliberately avoid the library's code paths: explicit summation loops
-for the transform, integer Newton iteration and corrected float sqrt for the
-roots.
+for the transform, exactly reduced phases for the tones, integer Newton
+iteration and corrected float sqrt for the roots.
 """
 
 import cmath
@@ -30,6 +30,16 @@ def brute_force_idft(spectrum):
         for f in range(n):
             acc += complex(spectrum[f]) * cmath.exp(2j * cmath.pi * f * t / n)
         out[t] = acc / n
+    return out
+
+
+def reduced_phase_tones(n, bins, amps):
+    """Sum of the tones ``amps[i] * exp(2j*pi*bins[i]*t/n)``, each phase index
+    ``bins[i]*t`` reduced mod n in int64 before the exponential; no FFT."""
+    t = np.arange(n, dtype=np.int64)
+    out = np.zeros(n, dtype=complex)
+    for k, a in zip(bins, amps):
+        out += a * np.exp(1j * (2 * np.pi * ((int(k) * t) % n) / n))
     return out
 
 

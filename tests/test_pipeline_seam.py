@@ -57,6 +57,20 @@ def test_probability_too_close_to_one_rejected_on_both_paths():
         threshold_fixed(1024, 512, 1.0, p)
 
 
+@pytest.mark.parametrize("n, message", [
+    (0, "signal length must be at least 2, got 0"),
+    (-4, "signal length must be at least 2, got -4"),
+    (64.5, "signal length must be a whole number, got 64.5"),
+], ids=["zero", "negative", "fractional"])
+@pytest.mark.parametrize("path", [
+    lambda n: threshold(1.0, n, ThresholdConfig(p=0.99)),
+    lambda n: threshold_fixed(n, 1, 1.0, 0.99),
+], ids=["reference", "hardware"])
+def test_invalid_length_rejected_alike_on_both_paths(path, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        path(n)
+
+
 @pytest.mark.parametrize("variant, ssa", [("paper", 1e308), ("ref10", 1e307)])
 def test_threshold_overflow_rejected_on_both_paths(variant, ssa):
     # n=64, n_a=32 gives var = 16.25 * ssa: inf for paper, whose scale var/n

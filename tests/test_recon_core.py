@@ -307,6 +307,11 @@ class TestBuildCsMatrix:
         with pytest.raises(ValueError, match=re.escape(f"frequency bin {bad} outside [0, 32)")):
             build_cs_matrix(32, pat, [3, bad])
 
+    def test_length_must_match_pattern(self):
+        # positions 16 to 31 would otherwise wrap mod 16
+        with pytest.raises(ValueError, match="signal length 16 does not match pattern length 32"):
+            build_cs_matrix(16, random_pattern(32, 8, seed=0), [1])
+
 
 class TestHermitian:
     def test_real_diagonal_fixed(self):
@@ -398,6 +403,18 @@ class TestLsSolve:
         with pytest.raises(ValueError):
             ls_solve(np.eye(3, dtype=complex), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_non_finite_system_rejected(self, where, bad):
+        a = build_cs_matrix(32, random_pattern(32, 12, seed=2), [3, 17])
+        v = np.ones(12, dtype=complex)
+        if where == "matrix":
+            a[4, 1] = bad
+        else:
+            v[4] = bad
+        with pytest.raises(ValueError, match="least-squares system is not finite"):
+            ls_solve(a, v)
+
 
 class TestSpectralPositioning:
     def test_single_bin(self):
@@ -436,6 +453,10 @@ class TestSpectralPositioning:
     def test_bin_outside_grid(self, bad):
         with pytest.raises(ValueError, match=re.escape(f"frequency bin {bad} outside [0, 4)")):
             spectral_positioning([5.0], [bad], 4)
+
+    def test_duplicate_bins_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("duplicate frequency bins: [3, 3]")):
+            spectral_positioning([1.0, 2.0], [3, 3], 8)
 
 
 class TestIdft:

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from csrecon.signal_model import (
@@ -16,6 +18,7 @@ from csrecon.signal_model import (
     synthesize,
     write_signal_csv,
 )
+from helpers import reduced_phase_tones
 
 
 class TestSparseSpec:
@@ -53,6 +56,15 @@ class TestSparseSpec:
         np.testing.assert_array_equal(spec.amplitudes, [1.0, 3.0])
 
 
+@st.composite
+def _tones(draw):
+    """(n, distinct bins, positive amplitudes) for a valid SparseSpec."""
+    n = draw(st.integers(min_value=2, max_value=16384))
+    bins = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n - 1, 8), unique=True))
+    amps = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(bins), max_size=len(bins)))
+    return n, bins, amps
+
+
 class TestSynthesize:
     def test_dc_tone(self):
         x = synthesize(SparseSpec(n=8, components=[(1.0, 0)]))
@@ -74,6 +86,14 @@ class TestSynthesize:
         x = synthesize(spec)
         power = np.sum(np.abs(x) ** 2) / spec.n
         assert abs(power - sum_sq_amplitudes(spec)) <= 1e-9 * sum_sq_amplitudes(spec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tones=_tones())
+    @example(tones=(16384, [16383], [1.0]))  # unreduced, the phase at k*t = 2.7e8 is off by 1.1e-11
+    def test_exact_phase_property(self, tones):
+        n, bins, amps = tones
+        x = synthesize(SparseSpec(n=n, components=list(zip(amps, bins))))
+        assert np.abs(x - reduced_phase_tones(n, bins, amps)).max() <= 1e-14 * sum(amps)
 
 
 class TestRandomPattern:

@@ -91,6 +91,8 @@ COMMANDS = (
     ("recon-q15-overflow-hardware", ["recon", "--in", "q15.csv", "--na", "32", "--p", "0.99",
                                      "--seed", "1", "--variant", "paper", "--path", "hardware",
                                      "--out", "q15hw"]),
+    # the top bin of a long grid: an unreduced phase 2*pi*k*t/n would be off by 1e-11 here
+    ("gen-top-bin", ["gen", "--n", "16384", "--tones", "1@16383", "--out", "top.csv"]),
 )
 
 
