@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from .montecarlo import (
     run_variance_calibration,
 )
 from .recon_core import (
+    AmpMode,
     SingularSystemError,
     ThresholdConfig,
+    ThresholdVariant,
     UnderdeterminedError,
     reconstruct,
     write_detection_csv,
@@ -71,15 +74,22 @@ def _spec_from_args(args) -> SparseSpec:
     return SparseSpec(n=args.n, components=_parse_tones(tones_text, args.n, args.seed))
 
 
-_METRICS_HEADER = ("support_exact", "precision", "recall", "rel_mse_time",
-                   "threshold", "variance", "n_detected")
+_METRICS_HEADER = tuple(field.name for field in fields(Metrics))
 
 
 def _metrics_row(metrics: Metrics) -> list:
-    """The metrics CSV row; ``recon`` also prints it as key=value pairs."""
-    return [str(metrics.support_exact).lower(), fmt(metrics.precision),
-            fmt(metrics.recall), fmt(metrics.rel_mse_time),
-            fmt(metrics.threshold), fmt(metrics.variance), metrics.n_detected]
+    """The metrics CSV row in field order; ``recon`` also prints it as key=value pairs."""
+    return [str(v).lower() if isinstance(v, bool) else v if isinstance(v, int) else fmt(v)
+            for v in astuple(metrics)]
+
+
+def _write_sweep(path, report, columns, run_cells, trial_cells, summary_cells) -> None:
+    """Write ``kind,trial,seed,<columns>``: a ``trial`` row per trial, then a ``summary`` row,
+    each with the run-level ``run_cells`` before its own cells."""
+    rows = [["trial", row.trial, row.seed, *run_cells, *trial_cells(row)]
+            for row in report.trials]
+    rows.append(["summary", len(report.trials), "", *run_cells, *summary_cells])
+    write_csv(path, ["kind", "trial", "seed", *columns], rows)
 
 
 def cmd_gen(args) -> int:
@@ -120,23 +130,13 @@ def cmd_calibrate(args) -> int:
     spec = _spec_from_args(args)
     cfg = ThresholdConfig(p=args.p, variant=args.variant)
     report = run_variance_calibration(spec, args.na, cfg, args.trials, args.seed)
-    rows = [
-        ["trial", row.trial, row.seed, fmt(report.threshold),
-         fmt(report.model_variance), fmt(row.noise_power_mean),
-         fmt(row.noise_mag_max), int(row.all_below)]
-        for row in report.trials
-    ]
-    rows.append(
-        ["summary", len(report.trials), "", fmt(report.threshold),
-         fmt(report.model_variance), fmt(report.empirical_variance),
-         fmt(max(r.noise_mag_max for r in report.trials)),
-         fmt(report.p_hat)]
-    )
-    write_csv(
-        args.out,
-        ["kind", "trial", "seed", "threshold", "model_variance",
-         "noise_power_mean", "noise_mag_max", "all_below"],
-        rows,
+    _write_sweep(
+        args.out, report,
+        ["threshold", "model_variance", "noise_power_mean", "noise_mag_max", "all_below"],
+        [fmt(report.threshold), fmt(report.model_variance)],
+        lambda row: [fmt(row.noise_power_mean), fmt(row.noise_mag_max), int(row.all_below)],
+        [fmt(report.empirical_variance), fmt(max(r.noise_mag_max for r in report.trials)),
+         fmt(report.p_hat)],
     )
     print(
         f"empirical_variance={fmt(report.empirical_variance)} "
@@ -150,26 +150,12 @@ def cmd_xcheck(args) -> int:
     spec = _spec_from_args(args)
     cfg = ThresholdConfig(p=args.p, variant=args.variant)
     report = run_threshold_xcheck(spec, args.na, cfg, args.trials, args.seed)
-    thresholds = [fmt(report.threshold_ref), fmt(report.threshold_fixed)]
-    rows = [
-        ["trial", row.trial, row.seed, *thresholds, fmt(report.max_rel_err),
-         int(row.support_match)]
-        for row in report.trials
-    ]
-    rows.append(
-        ["summary", len(report.trials), "", *thresholds, fmt(report.max_rel_err),
-         fmt(report.agreement_rate)]
+    _write_sweep(
+        args.out, report, ["threshold_ref", "threshold_fixed", "rel_err", "support_match"],
+        [fmt(report.threshold_ref), fmt(report.threshold_fixed), fmt(report.max_rel_err)],
+        lambda row: [int(row.support_match)], [fmt(report.agreement_rate)],
     )
-    write_csv(
-        args.out,
-        ["kind", "trial", "seed", "threshold_ref", "threshold_fixed",
-         "rel_err", "support_match"],
-        rows,
-    )
-    print(
-        f"max_rel_err={fmt(report.max_rel_err)} "
-        f"agreement_rate={fmt(report.agreement_rate)}"
-    )
+    print(f"max_rel_err={fmt(report.max_rel_err)} agreement_rate={fmt(report.agreement_rate)}")
     return EXIT_OK
 
 
@@ -184,6 +170,10 @@ def _add_tone_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--tones", help="'A@k[,A@k...]' or 'random:K:lo:hi'")
     group.add_argument("--k", type=int, help="K unit tones at random distinct bins")
+
+
+def _add_enum_flag(parser: argparse.ArgumentParser, flag: str, default) -> None:
+    parser.add_argument(flag, choices=[m.value for m in type(default)], default=default.value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_recon.add_argument("--na", type=int, required=True, help="available sample count")
     p_recon.add_argument("--p", type=float, required=True, help="detection confidence")
     p_recon.add_argument("--seed", type=int, required=True)
-    p_recon.add_argument("--variant", choices=["paper", "ref10"], default="ref10")
-    p_recon.add_argument("--amp-mode", choices=["oracle", "estimate"], default="oracle")
+    _add_enum_flag(p_recon, "--variant", ThresholdVariant.REF10)
+    _add_enum_flag(p_recon, "--amp-mode", AmpMode.ORACLE)
     p_recon.add_argument("--path", choices=["reference", "hardware"], default="reference")
     p_recon.add_argument("--out", required=True, help="output file prefix")
     p_recon.set_defaults(func=cmd_recon)
@@ -220,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_sweep.add_argument("--na", type=int, required=True)
         _add_tone_flags(p_sweep)
         p_sweep.add_argument("--p", type=float, required=True)
-        p_sweep.add_argument("--variant", choices=["paper", "ref10"], default="ref10")
+        _add_enum_flag(p_sweep, "--variant", ThresholdVariant.REF10)
         p_sweep.add_argument("--trials", type=int, required=True)
         p_sweep.add_argument("--seed", type=int, required=True)
         p_sweep.add_argument("--out", required=True)

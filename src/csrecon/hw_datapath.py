@@ -1,10 +1,11 @@
-"""Fixed-point threshold datapath and comparator stage.
+"""Fixed-point threshold datapath.
 
 Mirrors the block structure of the detection front end: the threshold is
 computed with the LUT logarithm and the non-restoring square root instead of
-libm calls, and the comparator turns the initial DFT into a bit vector. The
-adders and multipliers around those primitives are modeled at value level in
-double precision; only the log and root stages are bit-true.
+libm calls, then the pipeline shares the reference comparator,
+:func:`~csrecon.recon_core.detect_positions`. The adders and multipliers
+around those primitives are modeled at value level in double precision; only
+the log and root stages are bit-true.
 """
 
 from __future__ import annotations

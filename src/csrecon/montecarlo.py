@@ -16,7 +16,6 @@ from .recon_core import (
     ReconstructionResult,
     ThresholdConfig,
     detect_positions,
-    effective_threshold,
     initial_dft,
     missing_noise_variance,
     reconstruct,
@@ -24,6 +23,7 @@ from .recon_core import (
 )
 from .signal_model import (
     SparseSpec,
+    _whole,
     random_pattern,
     sample,
     sum_sq_amplitudes,
@@ -46,15 +46,17 @@ __all__ = [
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Stable per-trial seed from (master seed, trial index)."""
-    seq = np.random.SeedSequence(entropy=[int(master_seed), int(trial_index)])
+    entropy = [int(_whole(master_seed, "master seed")), int(_whole(trial_index, "trial index"))]
+    seq = np.random.SeedSequence(entropy=entropy)
     return int(seq.generate_state(1)[0])
 
 
 def _trials(x: np.ndarray, n_a: int, trials: int, master_seed: int):
     """Yield ``(trial, seed, meas)``: ``x`` sampled under each trial's own pattern."""
-    if int(trials) < 1:
+    trials = int(_whole(trials, "trial count"))
+    if trials < 1:
         raise ValueError(f"trial count must be at least 1, got {trials}")
-    for trial in range(int(trials)):
+    for trial in range(trials):
         seed = derive_trial_seed(master_seed, trial)
         yield trial, seed, sample(x, random_pattern(x.size, n_a, seed))
 
@@ -79,6 +81,9 @@ def compute_metrics(
 ) -> Metrics:
     """Support precision/recall and relative time-domain MSE."""
     original = np.asarray(original, dtype=complex)
+    if original.shape != result.time_signal.shape:
+        raise ValueError(f"original length {original.size} does not match "
+                         f"reconstruction length {result.time_signal.size}")
     detected = set(int(i) for i in result.detection.positions)
     true = set(int(i) for i in np.asarray(true_support).ravel())
     hits = len(detected & true)
@@ -153,27 +158,22 @@ def run_variance_calibration(
 ) -> CalibrationResult:
     """Measure the noise-bin statistics of the initial DFT against the model.
 
-    A trial counts as below the threshold when the pipelines' detection rule,
-    :func:`~csrecon.recon_core.effective_threshold`, flags no noise bin.
+    A trial counts as below the threshold when the pipelines' comparator,
+    :func:`~csrecon.recon_core.detect_positions`, flags no noise bin.
     """
     x = synthesize(spec)
     ssa = sum_sq_amplitudes(spec)
     var = missing_noise_variance(spec.n, n_a, ssa)
     t = threshold(var, spec.n, cfg)
-    noise_bins = np.setdiff1d(np.arange(spec.n), spec.freq_bins)
+    noise = np.ones(spec.n, dtype=bool)
+    noise[spec.freq_bins] = False
     rows = []
     for trial, seed, meas in _trials(x, n_a, trials, master_seed):
         mags = np.abs(initial_dft(meas))
-        noise_mags = mags[noise_bins]
-        rows.append(
-            CalibrationTrial(
-                trial=trial,
-                seed=seed,
-                noise_power_mean=float(np.mean(noise_mags**2)),
-                noise_mag_max=float(noise_mags.max()),
-                all_below=bool(noise_mags.max() <= effective_threshold(t, mags)),
-            )
-        )
+        noise_mags = mags[noise]
+        all_below = not noise[detect_positions(mags, t)].any()
+        rows.append(CalibrationTrial(trial, seed, float(np.mean(noise_mags**2)),
+                                     float(noise_mags.max()), all_below))
     return CalibrationResult(
         trials=tuple(rows),
         threshold=t,

@@ -199,7 +199,7 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
     because 0 < 1 - p**(1/n) < 1 makes the logarithm negative.
     """
     var = float(var)
-    if var < 0.0:
+    if not var >= 0.0:
         raise ValueError(f"variance must be nonnegative, got {var}")
     ln_u = math.log(_tail_probability(cfg.p, n))
     scale, root_arg = _threshold_terms(var, ln_u, n, cfg.variant)
@@ -209,7 +209,7 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
 def detect_positions(v_spec: np.ndarray, t: float) -> np.ndarray:
     """The comparator: ascending indices of the bins whose magnitude strictly
     exceeds :func:`effective_threshold`. ``v_spec`` is the spectrum or |V|."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     mags = np.abs(v_spec)
     return np.flatnonzero(mags > effective_threshold(t, mags)).astype(np.int64, copy=False)

@@ -58,7 +58,7 @@ class SparseSpec:
     n : int
         Signal length (number of time samples / frequency bins).
     components : sequence of (amplitude, freq_bin)
-        One pair per tone. Amplitudes must be strictly positive reals,
+        One pair per tone. Amplitudes must be finite, strictly positive reals,
         bins distinct integers in [0, n).
     """
 
@@ -78,8 +78,8 @@ class SparseSpec:
         if len(set(bins)) != len(bins):
             raise ValueError(f"duplicate frequency bins: {sorted(bins)}")
         for a, _ in comps:
-            if not a > 0:
-                raise ValueError(f"amplitude must be strictly positive, got {a}")
+            if not 0 < a < np.inf:
+                raise ValueError(f"amplitude must be finite and strictly positive, got {a}")
 
     @property
     def k(self) -> int:
@@ -170,7 +170,7 @@ def random_pattern(n: int, n_a: int, seed: int) -> SamplingPattern:
         raise ValueError("signal length must be positive")
     if not 1 <= n_a <= n:
         raise ValueError(f"available count {n_a} outside [1, {n}]")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(int(_whole(seed, "seed")))
     positions = rng.permutation(n)[:n_a]
     return SamplingPattern(n=n, positions=positions)
 
@@ -198,8 +198,11 @@ def estimate_sum_sq_amplitudes(meas: Measurement) -> float:
 
 
 def write_signal_csv(path, samples: np.ndarray) -> None:
-    """Write a complex signal as ``index,re,im`` rows."""
+    """Write a complex signal as ``index,re,im`` rows; rejects non-finite samples
+    before the file is opened."""
     samples = np.asarray(samples, dtype=complex)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{path}: samples must be finite")
     write_csv(
         path,
         ["index", "re", "im"],

@@ -57,6 +57,18 @@ class TestGen:
         assert run("gen", "--n", "8", "--tones", "1@3,1@3",
                    "--out", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("tones, message", [
+        ("inf@1", "amplitude must be finite and strictly positive, got inf"),
+        ("1e308@1,1e308@2", "x.csv: samples must be finite"),  # the sum overflows
+    ])
+    def test_non_finite_signal_is_config_error(self, tmp_path, capsys, tones, message):
+        out = tmp_path / "x.csv"
+        with np.errstate(over="ignore"):
+            assert run("gen", "--n", "8", "--tones", tones, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert not out.exists()
+
 
 @pytest.fixture()
 def three_tone_signal(tmp_path):
@@ -284,6 +296,32 @@ def test_sweep_na_out_of_range_is_config_error(tmp_path, capsys, command, na):
                "--trials", "100", "--seed", "1", "--out", str(tmp_path / "c.csv"))
     assert code == 2
     assert capsys.readouterr().err == f"error: available count {na} outside [1, 256]\n"
+
+
+def test_sweep_and_metrics_csv_layouts(tmp_path, three_tone_signal, capsys):
+    cal, xc, prefix = tmp_path / "cal.csv", tmp_path / "xc.csv", tmp_path / "ref"
+    assert run("calibrate", "--n", "128", "--na", "64", "--tones", "1@37", "--p", "0.9",
+               "--trials", "100", "--seed", "7", "--out", str(cal)) == 0
+    assert run("xcheck", "--n", "256", "--na", "128", "--k", "3", "--p", "0.99",
+               "--trials", "50", "--seed", "11", "--out", str(xc)) == 0
+    capsys.readouterr()
+    assert run("recon", "--in", str(three_tone_signal), "--na", "128", "--p", "0.99",
+               "--seed", "1", "--out", str(prefix)) == 0
+    stdout_keys = [pair.split("=")[0] for pair in capsys.readouterr().out.split()]
+    layouts = {
+        cal: ("kind,trial,seed,threshold,model_variance,noise_power_mean,noise_mag_max,all_below",
+              ["trial", "0", "2083679832"], ["summary", "100", ""]),
+        xc: ("kind,trial,seed,threshold_ref,threshold_fixed,rel_err,support_match",
+             ["trial", "0", "1926383459"], ["summary", "50", ""]),
+    }
+    for path, (header, first_trial, summary) in layouts.items():
+        lines = path.read_text().splitlines()
+        assert lines[0] == header
+        assert lines[1].split(",")[:3] == first_trial
+        assert lines[-1].split(",")[:3] == summary
+    metrics_header = "support_exact,precision,recall,rel_mse_time,threshold,variance,n_detected"
+    assert Path(f"{prefix}.metrics.csv").read_text().splitlines()[0] == metrics_header
+    assert stdout_keys == metrics_header.split(",")
 
 
 class TestDumpLut:

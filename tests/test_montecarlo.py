@@ -12,6 +12,16 @@ from csrecon.recon_core import ThresholdConfig, reconstruct
 from csrecon.signal_model import SparseSpec, random_pattern, sample, synthesize
 
 
+@pytest.mark.parametrize("args, message", [
+    ((42.9, 0), "master seed must be a whole number, got 42.9"),
+    ((42, 0.5), "trial index must be a whole number, got 0.5"),
+    ((2**63, 0), f"master seed must fit in 64 bits, got {2**63}"),
+])
+def test_trial_seed_inputs_must_be_whole(args, message):
+    with pytest.raises(ValueError, match=message):
+        derive_trial_seed(*args)
+
+
 def test_trial_seeds_stable_and_distinct():
     assert derive_trial_seed(42, 0) == derive_trial_seed(42, 0)
     seeds = {derive_trial_seed(42, i) for i in range(100)}
@@ -48,6 +58,11 @@ class TestComputeMetrics:
         assert not m.support_exact
         assert m.precision == 0.5
         assert m.recall == 1.0
+
+    def test_original_length_must_match(self):
+        spec, x, res = self._result()
+        with pytest.raises(ValueError, match="original length 1 does not match reconstruction length 64"):
+            compute_metrics(res, x[:1], spec.freq_bins)
 
     def test_exactness_iff_unit_precision_and_recall(self):
         rng = np.random.default_rng(0)
@@ -114,3 +129,12 @@ def test_zero_trials_rejected(run):
     spec = SparseSpec(n=64, components=[(1.0, 7)])
     with pytest.raises(ValueError, match="trial count must be at least 1"):
         run(spec, 32, ThresholdConfig(p=0.9), 0, master_seed=1)
+
+
+@pytest.mark.parametrize(
+    "run", [run_recovery_trials, run_variance_calibration, run_threshold_xcheck]
+)
+def test_fractional_trial_count_rejected(run):
+    spec = SparseSpec(n=64, components=[(1.0, 7)])
+    with pytest.raises(ValueError, match="trial count must be a whole number, got 2.5"):
+        run(spec, 32, ThresholdConfig(p=0.9), 2.5, master_seed=1)

@@ -173,6 +173,17 @@ class TestThreshold:
             assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("stage, message", [
+    (lambda: threshold(math.nan, 64, ThresholdConfig(p=0.99)), "variance must be nonnegative, got nan"),
+    (lambda: detect_positions(np.array([1.0, 2.0, 3.0]), math.nan),
+     "threshold must be nonnegative, got nan"),
+], ids=["threshold", "detect_positions"])
+def test_nan_at_threshold_stage_boundary_rejected(stage, message):
+    # NaN compares false both ways; a `< 0` guard lets it through
+    with pytest.raises(ValueError, match=message):
+        stage()
+
+
 class TestDetectPositions:
     def test_single_peak(self):
         np.testing.assert_array_equal(detect_positions([0, 10, 0, 0], 5.0), [1])

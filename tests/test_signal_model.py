@@ -36,6 +36,11 @@ class TestSparseSpec:
         with pytest.raises(ValueError):
             SparseSpec(n=8, components=[(-1.0, 1)])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"finite and strictly positive, got {bad}"):
+            SparseSpec(n=8, components=[(bad, 1)])
+
     def test_bin_range(self):
         with pytest.raises(ValueError):
             SparseSpec(n=8, components=[(1.0, 8)])
@@ -129,6 +134,14 @@ class TestRandomPattern:
         np.testing.assert_array_equal(
             random_pattern(8.0, 2.0, 1).positions, random_pattern(8, 2, 1).positions
         )
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a whole number, got 1.5"):
+            random_pattern(64, 32, 1.5)
+
+    def test_seed_past_int64_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(f"seed must fit in 64 bits, got {2**63}")):
+            random_pattern(64, 32, 2**63)
 
     @pytest.mark.parametrize("n", [2**63, 2**64, 2.0**63])
     def test_length_past_int64_rejected(self, n):
@@ -279,3 +292,10 @@ class TestSignalCsv:
         path.write_text(f"index,re,im\n0,1,0\n1,0,{bad}\n")
         with pytest.raises(ValueError, match="nan.csv: samples must be finite"):
             read_signal_csv(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_sample_not_written(self, tmp_path, bad):
+        path = tmp_path / "inf.csv"
+        with pytest.raises(ValueError, match="inf.csv: samples must be finite"):
+            write_signal_csv(path, np.array([1.0, bad]))
+        assert not path.exists()

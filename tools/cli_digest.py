@@ -93,6 +93,8 @@ COMMANDS = (
                                      "--out", "q15hw"]),
     # the top bin of a long grid: an unreduced phase 2*pi*k*t/n would be off by 1e-11 here
     ("gen-top-bin", ["gen", "--n", "16384", "--tones", "1@16383", "--out", "top.csv"]),
+    # a non-finite amplitude is refused before any file is written, exit 2
+    ("gen-nonfinite", ["gen", "--n", "8", "--tones", "inf@1", "--out", "inf.csv"]),
 )
 
 
