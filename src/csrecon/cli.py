@@ -33,6 +33,7 @@ from .recon_core import (
 )
 from .signal_model import (
     SparseSpec,
+    _whole,
     random_pattern,
     read_signal_csv,
     sample,
@@ -53,10 +54,11 @@ def _parse_tones(text: str, n: int, seed: int | None) -> list[tuple[float, int]]
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError(f"expected random:K:lo:hi, got '{text}'")
-        k, lo, hi = int(parts[1]), float(parts[2]), float(parts[3])
+        k = int(_whole(int(parts[1]), "tone count", least=1))
+        lo, hi = float(parts[2]), float(parts[3])
         if seed is None:
             raise ValueError("random tones require --seed")
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(int(_whole(seed, "seed", least=0)))
         bins = rng.permutation(n)[:k]
         amps = rng.uniform(lo, hi, size=k)
         return [(float(a), int(b)) for a, b in zip(amps, bins)]

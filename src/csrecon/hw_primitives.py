@@ -36,7 +36,6 @@ LUT_INDEX_BITS = 12  # 4096-entry table, a realistic block-RAM size
 _LUT_SIZE = 1 << LUT_INDEX_BITS
 _LOG_SCALE = 1 << LOG_SCALE_BITS
 _LOG2_10 = math.log2(10.0)
-_U32_MAX = (1 << 32) - 1
 
 
 def _build_log_lut() -> np.ndarray:
@@ -127,17 +126,11 @@ def _nr_sqrt(b):
 def nr_sqrt(b: int) -> SqrtResult:
     """Non-restoring square root of a 32-bit unsigned integer: the 16-bit
     floor root and the 17-bit remainder ``b - root**2``, as Python ints."""
-    b = int(_whole(b, "input"))
-    if not 0 <= b <= _U32_MAX:
-        raise ValueError(f"input must fit in 32 bits, got {b}")
-    return SqrtResult(*_nr_sqrt(b))
+    return SqrtResult(*_nr_sqrt(int(_whole(b, "input", 1 << 32))))
 
 
 def nr_sqrt_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`nr_sqrt`'s recurrence on int64 lanes, keeping the input's shape;
     the tests use it to check the unit over millions of inputs at once."""
-    b = _whole(values, "input")
-    if b.size and (b.min() < 0 or b.max() > _U32_MAX):
-        raise ValueError("inputs must fit in 32 bits")
-    root, rem = _nr_sqrt(b)
+    root, rem = _nr_sqrt(_whole(values, "input", 1 << 32))
     return np.asarray(root), np.asarray(rem)

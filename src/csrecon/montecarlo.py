@@ -46,17 +46,15 @@ __all__ = [
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Stable per-trial seed from (master seed, trial index)."""
-    entropy = [int(_whole(master_seed, "master seed")), int(_whole(trial_index, "trial index"))]
+    entropy = [int(_whole(master_seed, "master seed", least=0)),
+               int(_whole(trial_index, "trial index", least=0))]
     seq = np.random.SeedSequence(entropy=entropy)
     return int(seq.generate_state(1)[0])
 
 
 def _trials(x: np.ndarray, n_a: int, trials: int, master_seed: int):
     """Yield ``(trial, seed, meas)``: ``x`` sampled under each trial's own pattern."""
-    trials = int(_whole(trials, "trial count"))
-    if trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {trials}")
-    for trial in range(trials):
+    for trial in range(int(_whole(trials, "trial count", least=1))):
         seed = derive_trial_seed(master_seed, trial)
         yield trial, seed, sample(x, random_pattern(x.size, n_a, seed))
 
@@ -85,7 +83,7 @@ def compute_metrics(
         raise ValueError(f"original length {original.size} does not match "
                          f"reconstruction length {result.time_signal.size}")
     detected = set(int(i) for i in result.detection.positions)
-    true = set(int(i) for i in np.asarray(true_support).ravel())
+    true = set(_whole(true_support, "true bin", original.size).ravel().tolist())
     hits = len(detected & true)
     precision = hits / len(detected) if detected else 1.0
     recall = hits / len(true) if true else 1.0

@@ -5,8 +5,9 @@ original time positions, model the spectral noise caused by the missing
 samples, derive a detection threshold, pick the bins above it, and solve a
 small least-squares system on a partial DFT matrix to recover the exact
 amplitudes at the detected bins. The zero-filled spectrum is then inverted
-back to the time domain. Everything here is a pure function; the fixed-point
-counterpart of the threshold stage lives in :mod:`csrecon.hw_datapath`.
+back to the time domain. Apart from the two CSV writers at the end, everything
+here is a pure function; the fixed-point counterpart of the threshold stage
+lives in :mod:`csrecon.hw_datapath`.
 """
 
 from __future__ import annotations
@@ -152,11 +153,9 @@ def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
     samples perturbs every DFT bin, and the perturbation's second moment
     follows the without-replacement sampling variance of the phase sums.
     """
-    n = int(_whole(n, "signal length"))
+    n = int(_whole(n, "signal length", least=2))
     n_a = int(_whole(n_a, "available count"))
     sum_sq_amp = float(sum_sq_amp)
-    if n < 2:
-        raise ValueError(f"signal length must be at least 2, got {n}")
     if not 1 <= n_a <= n:
         raise ValueError(f"available count {n_a} outside [1, {n}]")
     if not (math.isfinite(sum_sq_amp) and sum_sq_amp >= 0.0):
@@ -168,9 +167,7 @@ def _tail_probability(p: float, n: int) -> float:
     """``1 - p**(1/n)``, which both threshold paths take the logarithm of;
     rejects a length that is not a whole number of at least 2, and a ``p`` so
     close to 1 that the result rounds to 0."""
-    n = int(_whole(n, "signal length"))
-    if n < 2:
-        raise ValueError(f"signal length must be at least 2, got {n}")
+    n = int(_whole(n, "signal length", least=2))
     u = 1.0 - p ** (1.0 / n)
     if u <= 0.0:
         raise ValueError(f"probability {p} is too close to 1 for length {n}")

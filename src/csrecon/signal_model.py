@@ -29,10 +29,11 @@ __all__ = [
 ]
 
 
-def _whole(values, what: str, below: int | None = None) -> np.ndarray:
-    """``values`` as int64; rejects a value that is not a whole number or does
-    not fit in 64 bits instead of truncating or wrapping it, or, given
-    ``below``, that lies outside [0, below), and names it."""
+def _whole(values, what: str, below: int | None = None, least: int | None = None) -> np.ndarray:
+    """``values`` as int64; rejects a value that is not a whole number or does not fit in
+    64 bits instead of truncating or wrapping it, or that lies outside [0, ``below``) or
+    under ``least``, naming ``what`` and the first such value. Bounds are compared on
+    Python ints or an array's extremes, so a valid call builds no mask."""
     raw = np.asarray(values)
     if raw.dtype.kind == "i":
         whole = raw.astype(np.int64)
@@ -43,9 +44,12 @@ def _whole(values, what: str, below: int | None = None) -> np.ndarray:
                 bad = raw[raw != whole][0]
                 need = "fit in 64 bits" if bad % 1 == 0 else "be a whole number"
                 raise ValueError(f"{what} must {need}, got {bad}")
-    if below is not None and ((whole < 0) | (whole >= below)).any():
-        bad = whole[(whole < 0) | (whole >= below)][0]
-        raise ValueError(f"{what} {bad} outside [0, {below})")
+    if whole.size:
+        lo, hi = (whole.item(),) * 2 if whole.ndim == 0 else (whole.min(), whole.max())
+        if below is not None and (lo < 0 or hi >= below):
+            raise ValueError(f"{what} {whole[(whole < 0) | (whole >= below)][0]} outside [0, {below})")
+        if least is not None and lo < least:
+            raise ValueError(f"{what} must be at least {least}, got {whole[whole < least][0]}")
     return whole
 
 
@@ -66,7 +70,7 @@ class SparseSpec:
     components: tuple[tuple[float, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(_whole(self.n, "signal length")))
+        object.__setattr__(self, "n", int(_whole(self.n, "signal length", least=2)))
         comps = tuple((float(a), int(_whole(k, "frequency bin", self.n)))
                       for a, k in self.components)
         object.__setattr__(self, "components", comps)
@@ -102,7 +106,7 @@ class SamplingPattern:
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(_whole(self.n, "signal length")))
+        object.__setattr__(self, "n", int(_whole(self.n, "signal length", least=1)))
         pos = _whole(self.positions, "position", self.n)
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
@@ -156,7 +160,9 @@ def synthesize(spec: SparseSpec) -> np.ndarray:
     """The multitone signal ``x[t] = sum_i amplitude_i * exp(2j*pi*bin_i*t/n)`` of ``spec``,
     formed as the pipeline forms its time signal: the amplitudes at their bins, then an
     inverse FFT without the 1/n scaling, whose twiddles keep every phase exact."""
-    return np.fft.ifft(spectral_positioning(spec.amplitudes, spec.freq_bins, spec.n), norm="forward")
+    with np.errstate(over="ignore", invalid="ignore"):  # write_signal_csv, Measurement reject inf
+        return np.fft.ifft(spectral_positioning(spec.amplitudes, spec.freq_bins, spec.n),
+                           norm="forward")
 
 
 def random_pattern(n: int, n_a: int, seed: int) -> SamplingPattern:
@@ -164,13 +170,11 @@ def random_pattern(n: int, n_a: int, seed: int) -> SamplingPattern:
 
     Deterministic for a fixed seed; positions are returned in draw order.
     """
-    n = int(_whole(n, "signal length"))
+    n = int(_whole(n, "signal length", least=1))
     n_a = int(_whole(n_a, "available count"))
-    if n < 1:
-        raise ValueError("signal length must be positive")
     if not 1 <= n_a <= n:
         raise ValueError(f"available count {n_a} outside [1, {n}]")
-    rng = np.random.default_rng(int(_whole(seed, "seed")))
+    rng = np.random.default_rng(int(_whole(seed, "seed", least=0)))
     positions = rng.permutation(n)[:n_a]
     return SamplingPattern(n=n, positions=positions)
 

@@ -69,6 +69,32 @@ class TestGen:
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("tones", [["--k", "-1"], ["--tones", "random:-1:1:2"]])
+    def test_negative_tone_count_is_config_error(self, tmp_path, capsys, tones):
+        out = tmp_path / "x.csv"
+        assert run("gen", "--n", "16", *tones, "--seed", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: tone count must be at least 1, got -1\n"
+        assert not out.exists()
+
+    def test_negative_random_tone_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("gen", "--n", "16", "--tones", "random:2:1:2", "--seed", "-3",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -3\n"
+        assert not out.exists()
+
+    def test_overflowing_tones_print_one_line(self, tmp_path):
+        # no numpy warning, whose text carries the installed numpy's path
+        env = dict(os.environ, PYTHONPATH=str(Path(csrecon.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "csrecon.cli", "gen", "--n", "8",
+             "--tones", "1e308@1,1e308@2", "--out", "x.csv"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: x.csv: samples must be finite\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 @pytest.fixture()
 def three_tone_signal(tmp_path):
@@ -215,6 +241,13 @@ class TestRecon:
                 err = capsys.readouterr().err
                 assert err == f"error: available count {na} outside [1, 256]\n"
 
+    def test_negative_seed_is_config_error(self, tmp_path, three_tone_signal, capsys):
+        code = run("recon", "--in", str(three_tone_signal), "--na", "128", "--p", "0.99",
+                   "--seed", "-1", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+        assert not list(tmp_path.glob("x.*"))
+
     def test_deterministic_outputs(self, tmp_path, three_tone_signal):
         pa, pb = tmp_path / "ra", tmp_path / "rb"
         for prefix in (pa, pb):
@@ -287,6 +320,14 @@ class TestXcheck:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "xc.csv"
+        code = run("xcheck", "--n", "64", "--na", "32", "--tones", "1@7", "--p", "0.99",
+                   "--trials", "5", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: master seed must be at least 0, got -1\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("na", ["0", "257"])

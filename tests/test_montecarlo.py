@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,15 @@ from csrecon.signal_model import SparseSpec, random_pattern, sample, synthesize
 ])
 def test_trial_seed_inputs_must_be_whole(args, message):
     with pytest.raises(ValueError, match=message):
+        derive_trial_seed(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 0), "master seed must be at least 0, got -1"),
+    ((42, -1), "trial index must be at least 0, got -1"),
+])
+def test_trial_seed_inputs_must_be_nonnegative(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         derive_trial_seed(*args)
 
 
@@ -63,6 +74,15 @@ class TestComputeMetrics:
         spec, x, res = self._result()
         with pytest.raises(ValueError, match="original length 1 does not match reconstruction length 64"):
             compute_metrics(res, x[:1], spec.freq_bins)
+
+    @pytest.mark.parametrize("truth, message", [
+        ([3.7], "true bin must be a whole number, got 3.7"),
+        ([5, 999], "true bin 999 outside [0, 64)"),
+    ], ids=["fractional", "past-grid"])
+    def test_true_bins_checked(self, truth, message):
+        _, x, res = self._result()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_metrics(res, x, truth)
 
     def test_exactness_iff_unit_precision_and_recall(self):
         rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ from scipy import stats
 
 from csrecon.signal_model import (
     Measurement,
+    _whole,
     SamplingPattern,
     SparseSpec,
     estimate_sum_sq_amplitudes,
@@ -53,6 +54,10 @@ class TestSparseSpec:
         spec = SparseSpec(n=8.0, components=[(1.0, 2.0)])
         assert spec.n == 8 and type(spec.n) is int
         assert spec.components == ((1.0, 2),)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="^signal length must be at least 2, got -3$"):
+            SparseSpec(n=-3, components=[(1.0, 0)])
 
     def test_accessors(self):
         spec = SparseSpec(n=16, components=[(1.0, 2), (3.0, 9)])
@@ -143,6 +148,10 @@ class TestRandomPattern:
         with pytest.raises(ValueError, match=re.escape(f"seed must fit in 64 bits, got {2**63}")):
             random_pattern(64, 32, 2**63)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+            random_pattern(64, 32, -1)
+
     @pytest.mark.parametrize("n", [2**63, 2**64, 2.0**63])
     def test_length_past_int64_rejected(self, n):
         # a cast to int64 alone wraps 2**63 to -2**63, a nonpositive length
@@ -210,6 +219,10 @@ class TestSamplingPatternValidation:
     def test_fractional_length_rejected(self):
         with pytest.raises(ValueError, match="signal length must be a whole number, got 8.9"):
             SamplingPattern(n=8.9, positions=[1, 2])
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="^signal length must be at least 1, got -3$"):
+            SamplingPattern(n=-3, positions=[0])
 
     def test_whole_valued_floats_accepted(self):
         pat = SamplingPattern(n=8.0, positions=[1.0, 2.0])
@@ -299,3 +312,54 @@ class TestSignalCsv:
         with pytest.raises(ValueError, match="inf.csv: samples must be finite"):
             write_signal_csv(path, np.array([1.0, bad]))
         assert not path.exists()
+
+
+def _whole_rejection(values, below, least):
+    """The message ``_whole(values, "x", below, least)`` must raise, or None: the first
+    value that is not whole or does not fit in int64, then the first outside
+    [0, below), then the first under ``least``."""
+    flat = np.asarray(values, dtype=object).ravel().tolist()
+    for v in flat:
+        shown = str(v) if isinstance(v, int) else str(np.float64(v))
+        if isinstance(v, float) and not (np.isfinite(v) and v.is_integer()):
+            return f"x must be a whole number, got {shown}"
+        if not -2**63 <= v < 2**63:
+            return f"x must fit in 64 bits, got {shown}"
+    for v in flat:
+        if below is not None and not 0 <= v < below:
+            return f"x {int(v)} outside [0, {below})"
+    for v in flat:
+        if least is not None and v < least:
+            return f"x must be at least {least}, got {int(v)}"
+    return None
+
+
+_near = st.integers(-80, 80)
+_float = _near.map(float) | st.floats(-80, 80) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.one_of(
+        _near | st.integers(-2**70, 2**70),
+        _float,
+        st.lists(_near | st.integers(-2**63, 2**63 - 1), max_size=6).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.lists(_float, max_size=6).map(lambda v: np.array(v, dtype=float)),
+    ),
+    below=st.none() | st.integers(0, 64),
+    least=st.none() | st.integers(-64, 64),
+)
+@example(values=2.0**63, below=None, least=None)
+@example(values=np.array([3.0, -5.0, np.nan]), below=4, least=None)
+@example(values=np.array([3, -5, 9]), below=None, least=0)
+def test_whole_checks_every_bound(values, below, least):
+    message = _whole_rejection(values, below, least)
+    if message is not None:
+        with pytest.raises(ValueError) as info:
+            _whole(values, "x", below, least=least)
+        assert str(info.value) == message
+    else:
+        got = _whole(values, "x", below, least=least)
+        assert got.dtype == np.int64 and got.shape == np.shape(values)
+        assert got.ravel().tolist() == [int(v) for v in np.asarray(values, dtype=object).ravel()]

@@ -95,6 +95,16 @@ COMMANDS = (
     ("gen-top-bin", ["gen", "--n", "16384", "--tones", "1@16383", "--out", "top.csv"]),
     # a non-finite amplitude is refused before any file is written, exit 2
     ("gen-nonfinite", ["gen", "--n", "8", "--tones", "inf@1", "--out", "inf.csv"]),
+    # finite tones whose sum overflows: one error line, no numpy warning, exit 2
+    ("gen-overflow", ["gen", "--n", "8", "--tones", "1e308@1,1e308@2", "--out", "sum.csv"]),
+    # negative seeds and tone counts fail by name before anything is written, exit 2
+    ("recon-negative-seed", ["recon", "--in", "sig.csv", "--na", "128", "--p", "0.99",
+                             "--seed", "-1", "--out", "negseed"]),
+    ("xcheck-negative-seed", ["xcheck", "--n", "64", "--na", "32", "--tones", "1@7",
+                              "--p", "0.99", "--trials", "5", "--seed", "-1",
+                              "--out", "xcneg.csv"]),
+    ("gen-negative-tone-count", ["gen", "--n", "16", "--k", "-1", "--seed", "1",
+                                 "--out", "negk.csv"]),
 )
 
 
