@@ -34,7 +34,6 @@ from .montecarlo import (
 from .recon_core import (
     AmpMode,
     DetectionResult,
-    EmptySupportError,
     ReconstructionResult,
     SingularSystemError,
     ThresholdConfig,

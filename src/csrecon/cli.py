@@ -47,6 +47,14 @@ EXIT_EMPTY_SUPPORT = 3
 EXIT_LINALG = 4
 
 
+def _tone_field(convert, text: str, what: str):
+    """``convert(text)``, or a ValueError naming the tone field ``what`` and its text."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"invalid {what} '{text}'") from None
+
+
 def _parse_tones(text: str, n: int, seed: int | None) -> list[tuple[float, int]]:
     """Parse the tone grammar: 'A@k[,A@k...]' or 'random:K:lo:hi'."""
     text = text.strip()
@@ -54,8 +62,11 @@ def _parse_tones(text: str, n: int, seed: int | None) -> list[tuple[float, int]]
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError(f"expected random:K:lo:hi, got '{text}'")
-        k = int(_whole(int(parts[1]), "tone count", least=1))
-        lo, hi = float(parts[2]), float(parts[3])
+        k = int(_whole(_tone_field(int, parts[1], "tone count"), "tone count", least=1))
+        lo, hi = (_tone_field(float, bound, "amplitude range bound") for bound in parts[2:])
+        if not 0.0 <= hi - lo < np.inf:  # the ranges rng.uniform accepts
+            raise ValueError(f"invalid amplitude range '{parts[2]}:{parts[3]}': "
+                             "hi - lo must be finite and nonnegative")
         if seed is None:
             raise ValueError("random tones require --seed")
         rng = np.random.default_rng(int(_whole(seed, "seed", least=0)))
@@ -67,7 +78,8 @@ def _parse_tones(text: str, n: int, seed: int | None) -> list[tuple[float, int]]
         amp_text, _, bin_text = item.partition("@")
         if not bin_text:
             raise ValueError(f"expected A@k, got '{item}'")
-        tones.append((float(amp_text), int(bin_text)))
+        tones.append((_tone_field(float, amp_text, "amplitude"),
+                      _tone_field(int, bin_text, "frequency bin")))
     return tones
 
 

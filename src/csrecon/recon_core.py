@@ -28,7 +28,6 @@ __all__ = [
     "ThresholdConfig",
     "DetectionResult",
     "ReconstructionResult",
-    "EmptySupportError",
     "UnderdeterminedError",
     "SingularSystemError",
     "initial_dft",
@@ -45,10 +44,6 @@ __all__ = [
     "write_spectrum_csv",
     "write_detection_csv",
 ]
-
-
-class EmptySupportError(ValueError):
-    """No bins were detected; there is nothing to solve for."""
 
 
 class UnderdeterminedError(ValueError):
@@ -230,17 +225,12 @@ def build_cs_matrix(n: int, pattern: SamplingPattern, pos: np.ndarray) -> np.nda
     DFT restricted to the detected bins, so the solved amplitudes land on the
     same scale as the initial DFT. Entries come from an n-entry twiddle table
     at the phase index ``positions[m]*pos[i] mod n``, reduced exactly in int64.
+    Any bin set, empty included, is built; :func:`ls_solve` decides the rest.
     """
     n = int(_whole(n, "signal length"))
     if n != pattern.n:
         raise ValueError(f"signal length {n} does not match pattern length {pattern.n}")
     pos = _whole(pos, "frequency bin", n)
-    if pos.size == 0:
-        raise EmptySupportError("no detected bins to build the matrix from")
-    if pos.size > pattern.n_a:
-        raise UnderdeterminedError(
-            f"{pos.size} detected bins but only {pattern.n_a} measurements"
-        )
     phase = np.outer(pattern.positions, pos)
     phase %= n  # in place, sparing a second array of the product's size
     angle = 2 * np.pi * np.arange(n) / n  # real: numpy's complex division rounds twice
@@ -256,18 +246,20 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Least-squares amplitudes on the detected bins.
 
     Forms the normal equations ``AᴴA x = Aᴴv`` and solves them with one LU
-    factorization (LAPACK, through numpy). The gate is the R of a QR of
-    ``AᴴA``: :class:`SingularSystemError` is raised when R has a diagonal
-    entry below 1e-10 of the largest. A non-finite ``AᴴA`` or ``Aᴴv`` raises
-    :class:`ValueError` before the gate. For a consistent system, i.e. the true
-    support under noiseless sampling, the solution is exactly n times the
+    factorization (LAPACK, through numpy). More columns than rows raise
+    :class:`UnderdeterminedError`. The gate is the R of a QR of ``AᴴA``:
+    :class:`SingularSystemError` is raised when R has a diagonal entry below
+    1e-10 of the largest. A non-finite ``AᴴA`` or ``Aᴴv`` raises
+    :class:`ValueError` before the gate; both are empty, so finite, for an
+    empty support, whose solution is empty. For a consistent system, i.e. the
+    true support under noiseless sampling, the solution is exactly n times the
     component amplitudes.
     """
     a_cs = np.asarray(a_cs, dtype=complex)
     v = np.asarray(v, dtype=complex)
     rows, cols = a_cs.shape
     if rows < cols:
-        raise UnderdeterminedError(f"{cols} unknowns but only {rows} measurements")
+        raise UnderdeterminedError(f"{cols} detected bins but only {rows} measurements")
     if v.shape != (rows,):
         raise ValueError(f"right-hand side length {v.shape} does not match {rows} rows")
     ah = hermitian(a_cs)
@@ -276,7 +268,7 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise ValueError("least-squares system is not finite (NaN, inf or overflow in AᴴA or Aᴴv)")
     diag = np.abs(np.diag(np.linalg.qr(gram, mode="r")))
-    if diag.max() == 0.0 or diag.min() < 1e-10 * diag.max():
+    if diag.size and (diag.max() == 0.0 or diag.min() < 1e-10 * diag.max()):
         raise SingularSystemError(
             "normal-equation matrix is numerically singular "
             f"(diagonal spread {diag.min():.3e} / {diag.max():.3e})"
@@ -318,10 +310,7 @@ def _solve(meas: Measurement, detection: DetectionResult) -> ReconstructionResul
     """Parts 2 and 3: least squares on the detected bins, then the inverse DFT."""
     n = meas.pattern.n
     pos = detection.positions
-    if pos.size == 0:
-        x_tp = np.zeros(0, dtype=complex)
-    else:
-        x_tp = ls_solve(build_cs_matrix(n, meas.pattern, pos), meas.values)
+    x_tp = ls_solve(build_cs_matrix(n, meas.pattern, pos), meas.values)
     spectrum = spectral_positioning(x_tp, pos, n)
     return ReconstructionResult(
         amplitudes=x_tp,
@@ -339,9 +328,9 @@ def reconstruct(
     """Run the full pipeline on one measurement.
 
     ``sum_sq_amp`` is required in oracle amplitude mode and ignored in
-    estimate mode, where the measurement power supplies it. An empty support
-    is a legitimate outcome reported through ``empty_support`` with a zero
-    spectrum; underdetermined and singular systems raise instead.
+    estimate mode, where the measurement power supplies it. An empty support is
+    legitimate: the same solve on zero columns gives a zero spectrum, reported
+    through ``empty_support``. Underdetermined and singular systems raise.
     """
     detection, _, _ = _detect(meas, cfg, sum_sq_amp, _reference_threshold)
     return _solve(meas, detection)

@@ -76,6 +76,23 @@ class TestGen:
         assert capsys.readouterr().err == "error: tone count must be at least 1, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("tones, message", [
+        ("1@2.5", "invalid frequency bin '2.5'"),
+        ("random:2.5:1:2", "invalid tone count '2.5'"),
+        ("1@x", "invalid frequency bin 'x'"),
+        ("abc@3", "invalid amplitude 'abc'"),
+        ("random:2:3:1", "invalid amplitude range '3:1': hi - lo must be finite and nonnegative"),
+        ("random:2:1:inf",
+         "invalid amplitude range '1:inf': hi - lo must be finite and nonnegative"),
+        ("random:2:nan:2",
+         "invalid amplitude range 'nan:2': hi - lo must be finite and nonnegative"),
+    ])
+    def test_tone_grammar_error_names_the_field(self, tmp_path, capsys, tones, message):
+        out = tmp_path / "x.csv"
+        assert run("gen", "--n", "16", "--tones", tones, "--seed", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_negative_random_tone_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run("gen", "--n", "16", "--tones", "random:2:1:2", "--seed", "-3",

@@ -43,6 +43,19 @@ def test_invalid_sum_sq_amp_rejected_on_every_path(pipeline, bad):
         pipeline(meas, ThresholdConfig(p=0.99), bad)
 
 
+@pytest.mark.parametrize("pipeline", [reconstruct, lambda *args: reconstruct_hardware(*args)[0]],
+                         ids=["reference", "hardware"])
+def test_empty_support_solves_to_positive_zeros_on_both_paths(pipeline):
+    # an inflated amplitude oracle lifts the threshold above every bin
+    result = pipeline(_measurement(), ThresholdConfig(p=0.99), 1e6)
+    assert result.empty_support
+    assert result.amplitudes.shape == (0,)
+    for signal in (result.spectrum, result.time_signal):
+        assert signal.shape == (64,)
+        for part in (signal.real, signal.imag):
+            assert np.all(part == 0.0) and not np.signbit(part).any()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_threshold_fixed_rejects_invalid_sum_sq_amp(bad):
     with pytest.raises(ValueError, match="sum of squared amplitudes"):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from csrecon.hw_datapath import comparator
 from csrecon.recon_core import (
     AmpMode,
-    EmptySupportError,
     SingularSystemError,
     ThresholdConfig,
     ThresholdVariant,
@@ -262,14 +261,42 @@ class TestBuildCsMatrix:
         np.testing.assert_allclose(np.abs(a), 1 / 32, atol=1e-15)
 
     def test_empty_support(self):
+        # the empty support is built and solved like any other
         pat = random_pattern(8, 4, seed=0)
-        with pytest.raises(EmptySupportError):
-            build_cs_matrix(8, pat, np.array([], dtype=int))
+        a = build_cs_matrix(8, pat, np.array([], dtype=int))
+        assert a.shape == (4, 0)
+        assert ls_solve(a, np.ones(4)).shape == (0,)
 
     def test_underdetermined(self):
+        # built as asked; ls_solve is what rejects it
         pat = random_pattern(8, 2, seed=0)
-        with pytest.raises(UnderdeterminedError):
-            build_cs_matrix(8, pat, [1, 2, 3])
+        a = build_cs_matrix(8, pat, [1, 2, 3])
+        assert a.shape == (2, 3)
+        with pytest.raises(UnderdeterminedError,
+                           match=r"^3 detected bins but only 2 measurements$"):
+            ls_solve(a, np.ones(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_bin_set_is_built_and_ls_solve_decides(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=256), label="n")
+        n_a = data.draw(st.integers(min_value=1, max_value=n), label="n_a")
+        k = data.draw(st.integers(min_value=0, max_value=n), label="k")
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        pat = random_pattern(n, n_a, seed)
+        a = build_cs_matrix(n, pat, rng.choice(n, size=k, replace=False))
+        assert a.shape == (n_a, k)
+        v = rng.normal(size=n_a) + 1j * rng.normal(size=n_a)
+        if k > n_a:
+            with pytest.raises(UnderdeterminedError,
+                               match=f"^{k} detected bins but only {n_a} measurements$"):
+                ls_solve(a, v)
+            return
+        try:
+            assert ls_solve(a, v).shape == (k,)
+        except SingularSystemError:
+            pass
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -105,6 +105,23 @@ COMMANDS = (
                               "--out", "xcneg.csv"]),
     ("gen-negative-tone-count", ["gen", "--n", "16", "--k", "-1", "--seed", "1",
                                  "--out", "negk.csv"]),
+    # the arguments of recon-estimate-paper-hardware on the reference path: 250 detected
+    # bins against 128 measurements, exit 4
+    ("recon-underdetermined-reference", ["recon", "--in", "rand.csv", "--na", "128",
+                                         "--p", "0.99", "--seed", "2", "--variant", "paper",
+                                         "--amp-mode", "estimate", "--out", "under"]),
+    # a tone text that does not parse names its field and text, exit 2
+    ("gen-fractional-bin", ["gen", "--n", "16", "--tones", "1@2.5", "--out", "fbin.csv"]),
+    ("gen-fractional-tone-count", ["gen", "--n", "16", "--tones", "random:2.5:1:2",
+                                   "--seed", "1", "--out", "fcount.csv"]),
+    ("gen-text-bin", ["gen", "--n", "16", "--tones", "1@x", "--out", "tbin.csv"]),
+    ("gen-text-amplitude", ["gen", "--n", "16", "--tones", "abc@3", "--out", "tamp.csv"]),
+    ("gen-reversed-range", ["gen", "--n", "16", "--tones", "random:2:3:1", "--seed", "1",
+                            "--out", "rrange.csv"]),
+    ("gen-infinite-range", ["gen", "--n", "16", "--tones", "random:2:1:inf", "--seed", "1",
+                            "--out", "irange.csv"]),
+    ("gen-nan-range", ["gen", "--n", "16", "--tones", "random:2:nan:2", "--seed", "1",
+                       "--out", "nrange.csv"]),
 )
 
 
