@@ -13,9 +13,7 @@ threshold.
 from .hw_datapath import FixedThresholdTrace, reconstruct_hardware, threshold_fixed
 from .hw_primitives import (
     FixedLog,
-    FloatDecomposition,
     SqrtResult,
-    decompose,
     lut_log2,
     lut_log10,
     nr_sqrt,

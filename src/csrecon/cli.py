@@ -63,6 +63,8 @@ def _parse_tones(text: str, n: int, seed: int | None) -> list[tuple[float, int]]
         if len(parts) != 4:
             raise ValueError(f"expected random:K:lo:hi, got '{text}'")
         k = int(_whole(_tone_field(int, parts[1], "tone count"), "tone count", least=1))
+        if k >= n:  # rng.permutation(n)[:k] would clip k to n
+            raise ValueError(f"tone count {k} must be smaller than signal length {n}")
         lo, hi = (_tone_field(float, bound, "amplitude range bound") for bound in parts[2:])
         if not 0.0 <= hi - lo < np.inf:  # the ranges rng.uniform accepts
             raise ValueError(f"invalid amplitude range '{parts[2]}:{parts[3]}': "
@@ -84,8 +86,9 @@ def _parse_tones(text: str, n: int, seed: int | None) -> list[tuple[float, int]]
 
 
 def _spec_from_args(args) -> SparseSpec:
+    n = int(_whole(args.n, "signal length", least=2))
     tones_text = args.tones if args.tones else f"random:{args.k}:1:1"
-    return SparseSpec(n=args.n, components=_parse_tones(tones_text, args.n, args.seed))
+    return SparseSpec(n=n, components=_parse_tones(tones_text, n, args.seed))
 
 
 _METRICS_HEADER = tuple(field.name for field in fields(Metrics))
@@ -244,7 +247,7 @@ def main(argv=None) -> int:
     except (UnderdeterminedError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LINALG
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,10 +19,8 @@ from .signal_model import _whole
 __all__ = [
     "LOG_SCALE_BITS",
     "LUT_INDEX_BITS",
-    "FloatDecomposition",
     "FixedLog",
     "SqrtResult",
-    "decompose",
     "lut_log2",
     "lut_log10",
     "nr_sqrt",
@@ -37,26 +35,14 @@ _LUT_SIZE = 1 << LUT_INDEX_BITS
 _LOG_SCALE = 1 << LOG_SCALE_BITS
 _LOG2_10 = math.log2(10.0)
 
-
-def _build_log_lut() -> np.ndarray:
-    i = np.arange(_LUT_SIZE, dtype=np.float64)
-    table = np.rint(_LOG_SCALE * np.log2(1.0 + i / _LUT_SIZE)).astype(np.int64)
-    table.flags.writeable = False
-    return table
-
-
-_LOG_LUT = _build_log_lut()
+_LOG_LUT = np.rint(_LOG_SCALE * np.log2(1.0 + np.arange(_LUT_SIZE) / _LUT_SIZE)).astype(np.int64)
+_LOG_LUT.flags.writeable = False
 
 
 def log_lut_entries() -> np.ndarray:
     """The 4096-entry base-2 log table (read-only); entry i holds
     round(2**15 * log2(1 + i/4096))."""
     return _LOG_LUT
-
-
-class FloatDecomposition(NamedTuple):
-    mantissa: float  # in [1, 2)
-    exponent: int
 
 
 class FixedLog(NamedTuple):
@@ -74,29 +60,20 @@ class SqrtResult(NamedTuple):
     remainder: int  # 17-bit remainder, input - root**2
 
 
-def decompose(x: float) -> FloatDecomposition:
-    """Split a positive finite float into mantissa in [1, 2) and exponent.
+def lut_log2(x: float) -> FixedLog:
+    """Base-2 logarithm via table lookup on the truncated mantissa.
 
-    Exact for every binary float, subnormals included: mantissa * 2**exponent
-    reproduces the input bit for bit.
+    x splits exactly, subnormals included, as mantissa * 2**exponent with the
+    mantissa in [1, 2); raw = exponent * 2**15 + table[floor((mantissa - 1) * 2**12)].
+    Exact at powers of two; worst-case error is one table step plus entry
+    rounding, about 3.7e-4 in log2 units.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"expected a positive finite value, got {x}")
-    m, e = math.frexp(x)  # m in [0.5, 1)
-    return FloatDecomposition(mantissa=2.0 * m, exponent=e - 1)
-
-
-def lut_log2(x: float) -> FixedLog:
-    """Base-2 logarithm via table lookup on the truncated mantissa.
-
-    raw = exponent * 2**15 + table[floor((mantissa - 1) * 2**12)].
-    Exact at powers of two; worst-case error is one table step plus entry
-    rounding, about 3.7e-4 in log2 units.
-    """
-    mantissa, exponent = decompose(x)
-    idx = int((mantissa - 1.0) * _LUT_SIZE)  # truncation, never interpolated
-    return FixedLog(raw=exponent * _LOG_SCALE + int(_LOG_LUT[idx]))
+    m, e = math.frexp(x)  # x = (2m) * 2**(e-1), 2m in [1, 2)
+    idx = int((2.0 * m - 1.0) * _LUT_SIZE)  # truncation, never interpolated
+    return FixedLog(raw=(e - 1) * _LOG_SCALE + int(_LOG_LUT[idx]))
 
 
 def lut_log10(x: float) -> float:

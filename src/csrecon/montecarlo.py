@@ -13,6 +13,7 @@ import numpy as np
 
 from .hw_datapath import reconstruct_hardware, threshold_fixed
 from .recon_core import (
+    AmpMode,
     ReconstructionResult,
     ThresholdConfig,
     detect_positions,
@@ -57,6 +58,16 @@ def _trials(x: np.ndarray, n_a: int, trials: int, master_seed: int):
     for trial in range(int(_whole(trials, "trial count", least=1))):
         seed = derive_trial_seed(master_seed, trial)
         yield trial, seed, sample(x, random_pattern(x.size, n_a, seed))
+
+
+def _oracle_model(spec: SparseSpec, n_a: int, cfg: ThresholdConfig):
+    """The signal, its oracle sum of squared amplitudes and the model noise variance;
+    refuses the estimate amplitude mode, which the noise model cannot honour."""
+    if cfg.amp_mode is not AmpMode.ORACLE:
+        raise ValueError("calibration and xcheck need the oracle amplitude mode, "
+                         f"got '{cfg.amp_mode.value}'")
+    ssa = sum_sq_amplitudes(spec)
+    return synthesize(spec), ssa, missing_noise_variance(spec.n, n_a, ssa)
 
 
 @dataclass(frozen=True)
@@ -159,9 +170,7 @@ def run_variance_calibration(
     A trial counts as below the threshold when the pipelines' comparator,
     :func:`~csrecon.recon_core.detect_positions`, flags no noise bin.
     """
-    x = synthesize(spec)
-    ssa = sum_sq_amplitudes(spec)
-    var = missing_noise_variance(spec.n, n_a, ssa)
+    x, _, var = _oracle_model(spec, n_a, cfg)
     t = threshold(var, spec.n, cfg)
     noise = np.ones(spec.n, dtype=bool)
     noise[spec.freq_bins] = False
@@ -211,9 +220,7 @@ def run_threshold_xcheck(
     master_seed: int,
 ) -> XcheckResult:
     """Compare thresholds and detected supports between the two paths."""
-    x = synthesize(spec)
-    ssa = sum_sq_amplitudes(spec)
-    var = missing_noise_variance(spec.n, n_a, ssa)
+    x, ssa, var = _oracle_model(spec, n_a, cfg)
     t_ref = threshold(var, spec.n, cfg)
     t_fix = threshold_fixed(spec.n, n_a, ssa, cfg.p, cfg.variant).t_fixed
     rel_err = abs(t_fix - t_ref) / t_ref if t_ref > 0.0 else abs(t_fix)

@@ -32,10 +32,16 @@ __all__ = [
 def _whole(values, what: str, below: int | None = None, least: int | None = None) -> np.ndarray:
     """``values`` as int64; rejects a value that is not a whole number or does not fit in
     64 bits instead of truncating or wrapping it, or that lies outside [0, ``below``) or
-    under ``least``, naming ``what`` and the first such value. Bounds are compared on
-    Python ints or an array's extremes, so a valid call builds no mask."""
+    under ``least``, naming ``what`` and the first such value. Integer, float and object
+    (Python int) data are read; bool, complex and text data are refused by dtype. Bounds
+    are compared on Python ints or an array's extremes, so a valid call builds no mask."""
     raw = np.asarray(values)
-    if raw.dtype.kind == "i":
+    kind = raw.dtype.kind
+    if kind not in "iufO":
+        raise ValueError(f"{what} must be a whole number, not {raw.dtype.name}")
+    if kind == "f":  # float16/32 widened, so the 64-bit bounds compare without overflow
+        raw = raw.astype(np.result_type(raw, np.float64), copy=False)
+    if kind == "i":
         whole = raw.astype(np.int64)
     else:
         with np.errstate(invalid="ignore"):  # NaN and inf are reported below
@@ -77,7 +83,8 @@ class SparseSpec:
         if not comps:
             raise ValueError("at least one component required")
         if len(comps) >= self.n:
-            raise ValueError("component count must be smaller than signal length")
+            raise ValueError(f"component count {len(comps)} must be smaller than "
+                             f"signal length {self.n}")
         bins = [k for _, k in comps]
         if len(set(bins)) != len(bins):
             raise ValueError(f"duplicate frequency bins: {sorted(bins)}")

@@ -93,6 +93,25 @@ class TestGen:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, tones, message", [
+        ("8", ["--tones", "random:20:1:2"], "tone count 20 must be smaller than signal length 8"),
+        ("8", ["--k", "8"], "tone count 8 must be smaller than signal length 8"),
+        ("-5", ["--k", "1"], "signal length must be at least 2, got -5"),
+    ])
+    def test_tone_count_must_stay_below_length(self, tmp_path, capsys, n, tones, message):
+        out = tmp_path / "x.csv"
+        assert run("gen", "--n", n, *tones, "--seed", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unallocatable_length_is_config_error(self, tmp_path, capsys):
+        # N = 2**59: drawing K bins asks for 4 EiB, refused at once on any 64-bit host
+        out = tmp_path / "x.csv"
+        assert run("gen", "--n", str(2**59), "--k", "1", "--seed", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
     def test_negative_random_tone_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run("gen", "--n", "16", "--tones", "random:2:1:2", "--seed", "-3",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from csrecon.hw_primitives import (
     LOG_SCALE_BITS,
-    decompose,
     log_lut_entries,
     lut_log2,
     lut_log10,
@@ -20,32 +19,48 @@ from helpers import floor_sqrt_array, newton_isqrt
 LOG2_ERROR_BOUND = 2**-12 / math.log(2) + 2**-16
 
 
+def _split_oracle(x):
+    """(exponent, table index) of x, from exact comparisons: 2**e <= x < 2**(e+1)."""
+    e = math.floor(math.log2(x))
+    while math.ldexp(1.0, e) > x:
+        e -= 1
+    while math.ldexp(1.0, e + 1) <= x:
+        e += 1
+    return e, int((math.ldexp(x, -e) - 1.0) * 4096)
+
+
 class TestDecompose:
+    """``lut_log2`` splits its own input into mantissa and exponent, exactly."""
+
     @pytest.mark.parametrize(
         "x,mantissa,exponent",
         [(1.0, 1.0, 0), (10.0, 1.25, 3), (0.375, 1.5, -2), (2.0, 1.0, 1)],
     )
     def test_known_values(self, x, mantissa, exponent):
-        assert decompose(x) == (mantissa, exponent)
+        index = int((mantissa - 1.0) * 4096)
+        assert lut_log2(x).raw == (exponent << LOG_SCALE_BITS) + log_lut_entries()[index]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            decompose(bad)
+        with pytest.raises(ValueError) as info:
+            lut_log2(bad)
+        assert str(info.value) == f"expected a positive finite value, got {bad}"
 
-    def test_exact_reproduction(self):
-        rng = np.random.default_rng(3)
-        xs = 10.0 ** rng.uniform(-300, 300, size=2000)
-        for x in xs:
-            m, e = decompose(float(x))
-            assert 1.0 <= m < 2.0
-            assert math.ldexp(m, e) == x
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(1e-300, 1e300))
+    @example(1e-300)
+    @example(1e300)
+    @example(2.0**-996)
+    @example(math.nextafter(2.0**997, 0.0))
+    def test_exact_reproduction(self, x):
+        exponent, index = _split_oracle(x)
+        assert lut_log2(x).raw == (exponent << LOG_SCALE_BITS) + log_lut_entries()[index]
 
     def test_subnormal_input(self):
-        x = 5e-324  # smallest positive double
-        m, e = decompose(x)
-        assert 1.0 <= m < 2.0
-        assert math.ldexp(m, e) == x
+        assert lut_log2(5e-324).raw == -1074 << LOG_SCALE_BITS  # smallest positive double
+        largest = math.nextafter(2.0**-1022, 0.0)  # (2 - 2**-51) * 2**-1023
+        assert _split_oracle(largest) == (-1023, 4095)
+        assert lut_log2(largest).raw == (-1023 << LOG_SCALE_BITS) + log_lut_entries()[4095]
 
 
 class TestLogLut:

@@ -158,3 +158,13 @@ def test_fractional_trial_count_rejected(run):
     spec = SparseSpec(n=64, components=[(1.0, 7)])
     with pytest.raises(ValueError, match="trial count must be a whole number, got 2.5"):
         run(spec, 32, ThresholdConfig(p=0.9), 2.5, master_seed=1)
+
+
+@pytest.mark.parametrize("run", [run_variance_calibration, run_threshold_xcheck])
+def test_noise_model_sweeps_refuse_estimate_amplitudes(run):
+    spec = SparseSpec(n=64, components=[(1.0, 7)])
+    cfg = ThresholdConfig(p=0.9, amp_mode="estimate")
+    # a trial count of 0 is refused only when the first trial is drawn, so this message
+    # shows that the mode is checked before any trial runs
+    with pytest.raises(ValueError, match="^calibration and xcheck need the oracle amplitude mode, got 'estimate'$"):
+        run(spec, 32, cfg, 0, master_seed=1)

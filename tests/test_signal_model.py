@@ -28,7 +28,8 @@ class TestSparseSpec:
             SparseSpec(n=8, components=[(1.0, 3), (2.0, 3)])
 
     def test_component_count_must_stay_below_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^component count 2 must be smaller than signal length 2$"):
             SparseSpec(n=2, components=[(1.0, 0), (1.0, 1)])
 
     def test_amplitude_must_be_positive(self):
@@ -318,6 +319,9 @@ def _whole_rejection(values, below, least):
     """The message ``_whole(values, "x", below, least)`` must raise, or None: the first
     value that is not whole or does not fit in int64, then the first outside
     [0, below), then the first under ``least``."""
+    dtype = np.asarray(values).dtype
+    if dtype.kind in "bcUS":
+        return f"x must be a whole number, not {dtype.name}"
     flat = np.asarray(values, dtype=object).ravel().tolist()
     for v in flat:
         shown = str(v) if isinstance(v, int) else str(np.float64(v))
@@ -338,6 +342,7 @@ _near = st.integers(-80, 80)
 _float = _near.map(float) | st.floats(-80, 80) | st.floats(allow_nan=True, allow_infinity=True)
 
 
+@pytest.mark.filterwarnings("error")  # no dtype passes or fails through a numpy warning
 @settings(max_examples=500, deadline=None)
 @given(
     values=st.one_of(
@@ -346,6 +351,16 @@ _float = _near.map(float) | st.floats(-80, 80) | st.floats(allow_nan=True, allow
         st.lists(_near | st.integers(-2**63, 2**63 - 1), max_size=6).map(
             lambda v: np.array(v, dtype=np.int64)),
         st.lists(_float, max_size=6).map(lambda v: np.array(v, dtype=float)),
+        # narrow floats, object arrays of Python ints, and the dtypes refused by name
+        *(st.lists(_near.map(float) | st.floats(width=w), max_size=6).map(
+            lambda v, t=t: np.array(v, dtype=t)) for w, t in ((16, np.float16), (32, np.float32))),
+        st.lists(_near | st.integers(-2**70, 2**70), max_size=6).map(
+            lambda v: np.array(v, dtype=object)),
+        st.booleans(),
+        st.lists(st.booleans(), max_size=6).map(lambda v: np.array(v, dtype=bool)),
+        st.complex_numbers(max_magnitude=80),
+        st.sampled_from(["3", "x", b"3"]),
+        st.lists(_near.map(str), max_size=6).map(lambda v: np.array(v, dtype=str)),
     ),
     below=st.none() | st.integers(0, 64),
     least=st.none() | st.integers(-64, 64),
@@ -353,6 +368,10 @@ _float = _near.map(float) | st.floats(-80, 80) | st.floats(allow_nan=True, allow
 @example(values=2.0**63, below=None, least=None)
 @example(values=np.array([3.0, -5.0, np.nan]), below=4, least=None)
 @example(values=np.array([3, -5, 9]), below=None, least=0)
+@example(values=True, below=None, least=None)
+@example(values=3 + 0j, below=None, least=None)
+@example(values=np.array([65504.0, 2.5], dtype=np.float16), below=None, least=None)
+@example(values=np.array([2**70, 3], dtype=object), below=None, least=None)
 def test_whole_checks_every_bound(values, below, least):
     message = _whole_rejection(values, below, least)
     if message is not None:

@@ -122,6 +122,12 @@ COMMANDS = (
                             "--out", "irange.csv"]),
     ("gen-nan-range", ["gen", "--n", "16", "--tones", "random:2:nan:2", "--seed", "1",
                        "--out", "nrange.csv"]),
+    # a tone count at or above the length is named, not clipped to it, exit 2
+    ("gen-tone-count-above-length", ["gen", "--n", "8", "--tones", "random:20:1:2",
+                                     "--seed", "1", "--out", "kbig.csv"]),
+    # N = 2**59: drawing the bins asks for 4 EiB, refused at once; one error line, exit 2
+    ("gen-unallocatable-length", ["gen", "--n", "576460752303423488", "--k", "1",
+                                  "--seed", "1", "--out", "nbig.csv"]),
 )
 
 
