@@ -123,7 +123,8 @@ def cmd_recon(args) -> int:
     true_support = np.flatnonzero(full_mag > 1e-6 * full_mag.max())
     cfg = ThresholdConfig(p=args.p, variant=args.variant, amp_mode=args.amp_mode)
     # full-signal power equals the sum of squared amplitudes for distinct tones
-    ssa = float(np.mean(np.abs(x) ** 2))
+    with np.errstate(over="ignore"):  # missing_noise_variance rejects inf by name
+        ssa = float(np.mean(np.abs(x) ** 2))
     meas = sample(x, random_pattern(n, args.na, args.seed))
     if args.path == "hardware":
         result, trace = reconstruct_hardware(meas, cfg, ssa)

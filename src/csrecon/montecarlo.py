@@ -16,17 +16,18 @@ from .recon_core import (
     AmpMode,
     ReconstructionResult,
     ThresholdConfig,
-    detect_positions,
-    initial_dft,
+    _above,
+    _dense_dft,
     missing_noise_variance,
     reconstruct,
     threshold,
 )
 from .signal_model import (
+    Measurement,
+    SamplingPattern,
     SparseSpec,
+    _draw,
     _whole,
-    random_pattern,
-    sample,
     sum_sq_amplitudes,
     synthesize,
 )
@@ -53,11 +54,20 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _trials(x: np.ndarray, n_a: int, trials: int, master_seed: int):
-    """Yield ``(trial, seed, meas)``: ``x`` sampled under each trial's own pattern."""
-    for trial in range(int(_whole(trials, "trial count", least=1))):
-        seed = derive_trial_seed(master_seed, trial)
-        yield trial, seed, sample(x, random_pattern(x.size, n_a, seed))
+def _draws(x: np.ndarray, n_a: int, trials: int, master_seed: int):
+    """Each trial's seed, (T, n_a) positions and x there: random_pattern draws, checked once."""
+    n_a = int(_whole(n_a, "available count"))
+    if not 1 <= n_a <= x.size:
+        raise ValueError(f"available count {n_a} outside [1, {x.size}]")
+    seeds = [derive_trial_seed(master_seed, i)
+             for i in range(int(_whole(trials, "trial count", least=1)))]
+    pos = _whole([_draw(x.size, n_a, seed) for seed in seeds], "position", x.size)
+    if (np.diff(np.sort(pos)) == 0).any():
+        raise ValueError("positions must be distinct")
+    values = x[pos]
+    if not np.isfinite(values).all():
+        raise ValueError("measurement values must be finite")
+    return seeds, pos, values
 
 
 def _oracle_model(spec: SparseSpec, n_a: int, cfg: ThresholdConfig):
@@ -123,8 +133,10 @@ def run_recovery_trials(
     """Reconstruct the same signal under independently drawn patterns."""
     x = synthesize(spec)
     ssa = sum_sq_amplitudes(spec)
+    _, pos, values = _draws(x, n_a, trials, master_seed)
     out = []
-    for _, _, meas in _trials(x, n_a, trials, master_seed):
+    for p, v in zip(pos, values):
+        meas = Measurement(values=v, pattern=SamplingPattern(n=spec.n, positions=p))
         if hardware:
             result, _ = reconstruct_hardware(meas, cfg, ssa)
         else:
@@ -167,20 +179,19 @@ def run_variance_calibration(
 ) -> CalibrationResult:
     """Measure the noise-bin statistics of the initial DFT against the model.
 
-    A trial counts as below the threshold when the pipelines' comparator,
-    :func:`~csrecon.recon_core.detect_positions`, flags no noise bin.
+    A trial counts as below the threshold when the pipelines' comparator rule, the
+    one :func:`~csrecon.recon_core.detect_positions` applies, flags no noise bin.
     """
     x, _, var = _oracle_model(spec, n_a, cfg)
     t = threshold(var, spec.n, cfg)
     noise = np.ones(spec.n, dtype=bool)
     noise[spec.freq_bins] = False
-    rows = []
-    for trial, seed, meas in _trials(x, n_a, trials, master_seed):
-        mags = np.abs(initial_dft(meas))
-        noise_mags = mags[noise]
-        all_below = not noise[detect_positions(mags, t)].any()
-        rows.append(CalibrationTrial(trial, seed, float(np.mean(noise_mags**2)),
-                                     float(noise_mags.max()), all_below))
+    seeds, pos, values = _draws(x, n_a, trials, master_seed)
+    mags = np.array([np.abs(_dense_dft(v, p, spec.n)) for p, v in zip(pos, values)])
+    all_below = ~(_above(mags, t) & noise).any(axis=1)
+    # row by row: np.mean along an axis sums in another order than on one row
+    rows = [CalibrationTrial(trial, seed, float(np.mean(row**2)), float(row.max()), bool(below))
+            for trial, (seed, row, below) in enumerate(zip(seeds, mags[:, noise], all_below))]
     return CalibrationResult(
         trials=tuple(rows),
         threshold=t,
@@ -224,12 +235,10 @@ def run_threshold_xcheck(
     t_ref = threshold(var, spec.n, cfg)
     t_fix = threshold_fixed(spec.n, n_a, ssa, cfg.p, cfg.variant).t_fixed
     rel_err = abs(t_fix - t_ref) / t_ref if t_ref > 0.0 else abs(t_fix)
-    rows = []
-    for trial, seed, meas in _trials(x, n_a, trials, master_seed):
-        mags = np.abs(initial_dft(meas))
-        pos_ref = detect_positions(mags, t_ref)
-        pos_fix = detect_positions(mags, t_fix)
-        rows.append(XcheckTrial(trial, seed, bool(np.array_equal(pos_ref, pos_fix))))
+    seeds, pos, values = _draws(x, n_a, trials, master_seed)
+    mags = np.array([np.abs(_dense_dft(v, p, spec.n)) for p, v in zip(pos, values)])
+    match = (_above(mags, t_ref) == _above(mags, t_fix)).all(axis=1)
+    rows = [XcheckTrial(trial, seed, bool(m)) for trial, (seed, m) in enumerate(zip(seeds, match))]
     return XcheckResult(
         trials=tuple(rows),
         threshold_ref=t_ref,

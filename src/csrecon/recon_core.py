@@ -135,10 +135,13 @@ def initial_dft(meas: Measurement) -> np.ndarray:
     Using the original positions in the exponent is what keeps the signal
     bins aligned with the full-data DFT.
     """
-    n = meas.pattern.n
-    freqs = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(freqs, meas.pattern.positions) / n)
-    return kernel @ meas.values
+    return _dense_dft(meas.values, meas.pattern.positions, meas.pattern.n)
+
+
+def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
+    """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run."""
+    kernel = np.exp(-2j * np.pi * np.outer(np.arange(n), positions) / n)
+    return kernel @ values
 
 
 def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
@@ -203,18 +206,24 @@ def detect_positions(v_spec: np.ndarray, t: float) -> np.ndarray:
     exceeds :func:`effective_threshold`. ``v_spec`` is the spectrum or |V|."""
     if not t >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
-    mags = np.abs(v_spec)
-    return np.flatnonzero(mags > effective_threshold(t, mags)).astype(np.int64, copy=False)
+    return np.flatnonzero(_above(np.abs(v_spec), t)).astype(np.int64, copy=False)
 
 
-def effective_threshold(t: float, v_spec: np.ndarray) -> float:
+def _above(mags: np.ndarray, t: float) -> np.ndarray:
+    """The comparator rule on |V|, or on each row of a stack: above its row's level."""
+    return mags > effective_threshold(t, mags)
+
+
+def effective_threshold(t: float, v_spec: np.ndarray) -> float | np.ndarray:
     """Detection level: ``t`` or 1e-9 of the peak of |``v_spec``|, whichever is larger.
+    A 2-d ``v_spec`` is a stack of spectra and gets one level per row, as a column.
 
     The floor keeps double-precision dust in bins that are zero in exact
     arithmetic from being detected when the modeled threshold is exactly
     zero (no missing samples); above it the floor has no effect.
     """
-    return max(float(t), 1e-9 * float(np.abs(v_spec).max(initial=0.0)))
+    level = np.fmax(float(t), 1e-9 * np.abs(v_spec).max(axis=-1, initial=0.0, keepdims=True))
+    return level if level.ndim > 1 else float(level[0])
 
 
 def build_cs_matrix(n: int, pattern: SamplingPattern, pos: np.ndarray) -> np.ndarray:

@@ -132,6 +132,25 @@ class TestGen:
         assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--n", "128", "--na", "64", "--tones", "1e200@37", "--p", "0.9",
+     "--trials", "100", "--seed", "7", "--out", "o.csv"],
+    ["recon", "--in", "b.csv", "--na", "8", "--p", "0.9", "--seed", "1", "--out", "b"],
+    ["recon", "--in", "b.csv", "--na", "8", "--p", "0.9", "--seed", "1",
+     "--amp-mode", "estimate", "--out", "b"],
+], ids=["calibrate", "recon-oracle", "recon-estimate"])
+def test_overflowing_power_sum_prints_one_line(tmp_path, argv):
+    # |x|**2 = 1e400 overflows; numpy's warning would carry the installed file's path
+    assert run("gen", "--n", "16", "--tones", "1e200@1", "--out", str(tmp_path / "b.csv")) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(csrecon.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "csrecon.cli", *argv],
+                            capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == ("error: sum of squared amplitudes must be finite and "
+                             "nonnegative, got inf\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv"]
+
+
 @pytest.fixture()
 def three_tone_signal(tmp_path):
     path = tmp_path / "sig.csv"

@@ -1,17 +1,38 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from csrecon.hw_datapath import reconstruct_hardware, threshold_fixed
 from csrecon.montecarlo import (
+    CalibrationResult,
+    CalibrationTrial,
+    XcheckResult,
+    XcheckTrial,
     compute_metrics,
     derive_trial_seed,
     run_recovery_trials,
     run_threshold_xcheck,
     run_variance_calibration,
 )
-from csrecon.recon_core import ThresholdConfig, reconstruct
-from csrecon.signal_model import SparseSpec, random_pattern, sample, synthesize
+from csrecon.recon_core import (
+    ThresholdConfig,
+    detect_positions,
+    initial_dft,
+    missing_noise_variance,
+    reconstruct,
+    threshold,
+)
+from csrecon.signal_model import (
+    SparseSpec,
+    random_pattern,
+    sample,
+    sum_sq_amplitudes,
+    synthesize,
+)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -168,3 +189,116 @@ def test_noise_model_sweeps_refuse_estimate_amplitudes(run):
     # shows that the mode is checked before any trial runs
     with pytest.raises(ValueError, match="^calibration and xcheck need the oracle amplitude mode, got 'estimate'$"):
         run(spec, 32, cfg, 0, master_seed=1)
+
+
+@pytest.mark.parametrize(
+    "run", [run_recovery_trials, run_variance_calibration, run_threshold_xcheck]
+)
+@pytest.mark.parametrize("n_a, trials, seed, message", [
+    (0, 0, -1, "available count 0 outside [1, 64]"),
+    (32, 0, -1, "trial count must be at least 1, got 0"),
+    (32, 1, -1, "master seed must be at least 0, got -1"),
+], ids=["available-count", "trial-count", "master-seed"])
+def test_run_inputs_checked_in_order(run, n_a, trials, seed, message):
+    spec = SparseSpec(n=64, components=[(1.0, 7)])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(spec, n_a, ThresholdConfig(p=0.9), trials, master_seed=seed)
+
+
+def test_recovery_trials_refuse_non_finite_samples():
+    # the two tones sum past the largest double at t = 0, which full sampling always takes
+    spec = SparseSpec(n=8, components=[(1e308, 1), (1e308, 2)])
+    with pytest.raises(ValueError, match="^measurement values must be finite$"):
+        run_recovery_trials(spec, 8, ThresholdConfig(p=0.9), 2, master_seed=1)
+
+
+def test_overflowing_amplitude_power_is_named_without_warnings():
+    spec = SparseSpec(n=128, components=[(1e200, 37)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (run_recovery_trials, run_variance_calibration, run_threshold_xcheck):
+            with pytest.raises(ValueError, match="^sum of squared amplitudes must be finite"):
+                run(spec, 64, ThresholdConfig(p=0.9), 3, master_seed=7)
+
+
+def _per_trial(spec, n_a, trials, master_seed):
+    """The trials one at a time through the public pipeline pieces: the reference
+    the runners, which draw and compare all trials at once, must equal."""
+    x = synthesize(spec)
+    for trial in range(trials):
+        seed = derive_trial_seed(master_seed, trial)
+        meas = sample(x, random_pattern(spec.n, n_a, seed))
+        yield trial, seed, meas, np.abs(initial_dft(meas))
+
+
+def _calibration_per_trial(spec, n_a, cfg, trials, master_seed):
+    var = missing_noise_variance(spec.n, n_a, sum_sq_amplitudes(spec))
+    t = threshold(var, spec.n, cfg)
+    noise = np.ones(spec.n, dtype=bool)
+    noise[spec.freq_bins] = False
+    rows = tuple(
+        CalibrationTrial(trial, seed, float(np.mean(mags[noise] ** 2)), float(mags[noise].max()),
+                         not noise[detect_positions(mags, t)].any())
+        for trial, seed, _, mags in _per_trial(spec, n_a, trials, master_seed)
+    )
+    return CalibrationResult(rows, t, var, float(np.mean([r.noise_power_mean for r in rows])),
+                             sum(r.all_below for r in rows) / len(rows))
+
+
+def _xcheck_per_trial(spec, n_a, cfg, trials, master_seed):
+    ssa = sum_sq_amplitudes(spec)
+    t_ref = threshold(missing_noise_variance(spec.n, n_a, ssa), spec.n, cfg)
+    t_fix = threshold_fixed(spec.n, n_a, ssa, cfg.p, cfg.variant).t_fixed
+    rows = tuple(
+        XcheckTrial(trial, seed, bool(np.array_equal(detect_positions(mags, t_ref),
+                                                     detect_positions(mags, t_fix))))
+        for trial, seed, _, mags in _per_trial(spec, n_a, trials, master_seed)
+    )
+    rel_err = abs(t_fix - t_ref) / t_ref if t_ref > 0.0 else abs(t_fix)
+    return XcheckResult(rows, t_ref, t_fix, rel_err,
+                        sum(r.support_match for r in rows) / len(rows))
+
+
+def _recovery_per_trial(spec, n_a, cfg, trials, master_seed, hardware):
+    ssa = sum_sq_amplitudes(spec)
+    x = synthesize(spec)
+    out = []
+    for _, _, meas, _ in _per_trial(spec, n_a, trials, master_seed):
+        if hardware:
+            result, _ = reconstruct_hardware(meas, cfg, ssa)
+        else:
+            result = reconstruct(meas, cfg, ssa)
+        out.append(compute_metrics(result, x, spec.freq_bins))
+    return out
+
+
+def _outcome(run, *args):
+    """``run(*args)``, or the type and message of the ValueError it raised."""
+    try:
+        return run(*args)
+    except ValueError as exc:  # underdetermined and singular systems included
+        return type(exc), str(exc)
+
+
+@st.composite
+def _sweeps(draw):
+    n = draw(st.integers(2, 128))
+    bins = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n - 1), unique=True))
+    amps = draw(st.lists(st.floats(0.1, 10.0), min_size=len(bins), max_size=len(bins)))
+    spec = SparseSpec(n=n, components=list(zip(amps, bins)))
+    cfg = ThresholdConfig(p=draw(st.sampled_from([0.5, 0.9, 0.99])),
+                          variant=draw(st.sampled_from(["ref10", "paper"])))
+    return (spec, draw(st.integers(1, n)), cfg, draw(st.integers(1, 6)),
+            draw(st.integers(0, 2**63 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sweeps(), st.booleans())
+# full sampling: threshold 0, so the 1e-9 dust floor decides every row
+@example((SparseSpec(n=64, components=[(1.0, 7)]), 64, ThresholdConfig(p=0.99), 6, 2), False)
+@example((SparseSpec(n=2, components=[(1.0, 1)]), 1, ThresholdConfig(p=0.9), 3, 0), True)
+def test_runners_equal_the_per_trial_path(sweep, hardware):
+    assert run_variance_calibration(*sweep) == _calibration_per_trial(*sweep)
+    assert run_threshold_xcheck(*sweep) == _xcheck_per_trial(*sweep)
+    assert (_outcome(run_recovery_trials, *sweep, hardware)
+            == _outcome(_recovery_per_trial, *sweep, hardware))

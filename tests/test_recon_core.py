@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from csrecon.hw_datapath import comparator
 from csrecon.recon_core import (
     AmpMode,
+    _above,
     SingularSystemError,
     ThresholdConfig,
     ThresholdVariant,
@@ -216,6 +217,22 @@ class TestDetectPositions:
         entry = st.sampled_from([0j, complex(t), complex(-t), 1j * t]) | value | dust
         v = np.array(data.draw(st.lists(entry, min_size=1, max_size=64)), dtype=complex)
         self.assert_forms_agree(v, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_row_form_matches_each_row(self, data):
+        # the Monte-Carlo runners compare a stack of |V| rows at once; each row must get
+        # its own dust floor, all-zero rows and t = 0 included
+        t = data.draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0]) | st.floats(0.0, 10.0))
+        width = data.draw(st.integers(1, 16))
+        mag = st.sampled_from([0.0, t]) | st.floats(0.0, 10.0) | st.floats(0.0, 1e-8)
+        row = st.lists(mag, min_size=width, max_size=width) | st.just([0.0] * width)
+        mags = np.array(data.draw(st.lists(row, min_size=1, max_size=5)), dtype=float)
+        levels = effective_threshold(t, mags)
+        assert levels.shape == (len(mags), 1)
+        for r, level, above in zip(mags, levels, _above(mags, t)):
+            assert level[0] == effective_threshold(t, r)
+            np.testing.assert_array_equal(np.flatnonzero(above), detect_positions(r, t))
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     @pytest.mark.parametrize("n", [1, 16])

@@ -128,6 +128,17 @@ COMMANDS = (
     # N = 2**59: drawing the bins asks for 4 EiB, refused at once; one error line, exit 2
     ("gen-unallocatable-length", ["gen", "--n", "576460752303423488", "--k", "1",
                                   "--seed", "1", "--out", "nbig.csv"]),
+    # threshold 0: the 1e-9 dust floor decides every trial's comparison
+    ("calibrate-full-sampling", ["calibrate", "--n", "64", "--na", "64", "--tones", "1@7",
+                                 "--p", "0.99", "--trials", "100", "--seed", "2",
+                                 "--out", "calfull.csv"]),
+    # the sum of squared amplitudes overflows: one error line, no numpy warning, exit 2
+    ("calibrate-power-overflow", ["calibrate", "--n", "128", "--na", "64", "--tones",
+                                  "1e200@37", "--p", "0.9", "--trials", "100", "--seed", "7",
+                                  "--out", "calpow.csv"]),
+    ("gen-power-overflow", ["gen", "--n", "16", "--tones", "1e200@1", "--out", "pow.csv"]),
+    ("recon-power-overflow", ["recon", "--in", "pow.csv", "--na", "8", "--p", "0.9",
+                              "--seed", "1", "--out", "pow"]),
 )
 
 
