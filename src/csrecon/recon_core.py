@@ -139,9 +139,12 @@ def initial_dft(meas: Measurement) -> np.ndarray:
 
 
 def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
-    """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run."""
-    kernel = np.exp(-2j * np.pi * np.outer(np.arange(n), positions) / n)
-    return kernel @ values
+    """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run:
+    ``exp(-2j*pi*outer(k, positions)/n)`` in place in one n×n_a array, bit for bit: k·p is exact."""
+    kernel = np.multiply.outer(np.arange(n, dtype=complex), np.asarray(positions, dtype=complex))
+    kernel *= -2j * np.pi
+    kernel /= n
+    return np.exp(kernel, out=kernel) @ values
 
 
 def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
@@ -163,13 +166,14 @@ def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
 
 def _tail_probability(p: float, n: int) -> float:
     """``1 - p**(1/n)``, which both threshold paths take the logarithm of;
-    rejects a length that is not a whole number of at least 2, and a ``p`` so
-    close to 1 that the result rounds to 0."""
+    rejects a length that is not a whole number of at least 2.
+
+    Below 2**-26 the subtraction has lost half its digits, so there the value
+    is ``-expm1(log(p)/n)``, which keeps full relative accuracy and stays
+    positive for every p < 1; above it the subtraction stands, bit for bit."""
     n = int(_whole(n, "signal length", least=2))
     u = 1.0 - p ** (1.0 / n)
-    if u <= 0.0:
-        raise ValueError(f"probability {p} is too close to 1 for length {n}")
-    return u
+    return u if u >= 2.0**-26 else -math.expm1(math.log(p) / n)
 
 
 def _threshold_terms(var: float, ln_u: float, n: int, variant: ThresholdVariant):

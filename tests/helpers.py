@@ -6,6 +6,7 @@ iteration and corrected float sqrt for the roots.
 """
 
 import cmath
+import decimal
 
 import numpy as np
 
@@ -19,6 +20,20 @@ def brute_force_initial_dft(values, positions, n):
             acc += complex(v) * cmath.exp(-2j * cmath.pi * f * int(p) / n)
         out[f] = acc
     return out
+
+
+def one_shot_initial_dft(values, positions, n):
+    """The initial DFT as one out-of-place expression: the int64 outer product,
+    then ``-2j*pi*`` it, ``/ n``, ``exp`` and the matvec, each a new array. The
+    in-place kernel replaced this form and must match it bit for bit."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(n), positions) / n) @ values
+
+
+def exact_tail_probability(p, n):
+    """``1 - p**(1/n)`` in 60-digit decimal arithmetic, from the exact value of
+    the double ``p``, as a ``Decimal``."""
+    with decimal.localcontext(prec=60):
+        return -((decimal.Decimal(p).ln() / n).exp() - 1)
 
 
 def brute_force_idft(spectrum):

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import csrecon
 from csrecon.cli import main
 from csrecon.recon_core import idft
 from csrecon.signal_model import read_signal_csv
+from helpers import exact_tail_probability
 
 
 def run(*argv):
@@ -245,14 +247,17 @@ class TestRecon:
         assert code == 2
 
     @pytest.mark.parametrize("path", ["reference", "hardware"])
-    def test_probability_too_close_to_one_is_config_error(
-        self, tmp_path, three_tone_signal, path, capsys
-    ):
+    def test_probability_next_to_one_reconstructs(self, tmp_path, three_tone_signal, path):
+        # 1 - p**(1/256) rounds to 0; the threshold takes the exact value, 4.34e-19
         code = run("recon", "--in", str(three_tone_signal), "--na", "128",
                    "--p", "0.9999999999999999", "--seed", "0", "--path", path,
                    "--out", str(tmp_path / "p1"))
-        assert code == 2
-        assert "too close to 1" in capsys.readouterr().err
+        assert code == 0
+        m = read_metrics(tmp_path / "p1")
+        assert m["support_exact"] == "true"
+        u = exact_tail_probability(0.9999999999999999, 256)
+        want = math.sqrt(-float(m["variance"]) * math.log(u))
+        assert float(m["threshold"]) == pytest.approx(want, rel=1e-3)
 
     @pytest.mark.parametrize("path", ["reference", "hardware"])
     def test_threshold_overflow_is_config_error(self, tmp_path, path, capsys):

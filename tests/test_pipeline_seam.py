@@ -28,6 +28,7 @@ from csrecon.signal_model import (
     sum_sq_amplitudes,
     synthesize,
 )
+from helpers import exact_tail_probability
 
 
 def _measurement():
@@ -62,12 +63,13 @@ def test_threshold_fixed_rejects_invalid_sum_sq_amp(bad):
         threshold_fixed(64, 32, bad, 0.99)
 
 
-def test_probability_too_close_to_one_rejected_on_both_paths():
-    p = 0.9999999999999999  # 1 - p**(1/1024) rounds to 0
-    with pytest.raises(ValueError, match="too close to 1 for length 1024"):
-        threshold(1.0, 1024, ThresholdConfig(p=p))
-    with pytest.raises(ValueError, match="too close to 1 for length 1024"):
-        threshold_fixed(1024, 512, 1.0, p)
+def test_probability_next_to_one_gives_a_finite_threshold_on_both_paths():
+    p = 0.9999999999999999  # 1 - p**(1/1024) rounds to 0; the exact value is 1.08e-19
+    u = float(exact_tail_probability(p, 1024))
+    var = missing_noise_variance(1024, 512, 1.0)
+    want = math.sqrt(-var * math.log(u))
+    assert threshold(var, 1024, ThresholdConfig(p=p)) == pytest.approx(want, rel=1e-12)
+    assert threshold_fixed(1024, 512, 1.0, p).t_fixed == pytest.approx(want, rel=1e-3)
 
 
 @pytest.mark.parametrize("n, message", [

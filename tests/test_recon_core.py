@@ -1,10 +1,12 @@
 import cmath
+import decimal
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csrecon.hw_datapath import comparator
@@ -15,6 +17,7 @@ from csrecon.recon_core import (
     ThresholdConfig,
     ThresholdVariant,
     UnderdeterminedError,
+    _tail_probability,
     build_cs_matrix,
     detect_positions,
     effective_threshold,
@@ -28,6 +31,7 @@ from csrecon.recon_core import (
     threshold,
 )
 from csrecon.signal_model import (
+    Measurement,
     SamplingPattern,
     SparseSpec,
     random_pattern,
@@ -35,7 +39,8 @@ from csrecon.signal_model import (
     sum_sq_amplitudes,
     synthesize,
 )
-from helpers import brute_force_idft, brute_force_initial_dft
+from helpers import (brute_force_idft, brute_force_initial_dft, exact_tail_probability,
+                     one_shot_initial_dft)
 
 
 def full_measurement(x):
@@ -86,6 +91,38 @@ class TestInitialDft:
             initial_dft(sample(x, shuffled)),
             atol=1e-9,
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=1536),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zeros=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @example(n=4096, fraction=0.5, seed=1, zeros=0.1)
+    @example(n=1000, fraction=0.998, seed=2, zeros=0.1)  # n_a = 999
+    def test_same_bits_as_the_one_shot_expression(self, n, fraction, seed, zeros):
+        # any length, powers of two or not; magnitudes 1e-5..1e5 and exact zeros
+        n_a = min(n, 1 + int(fraction * n))
+        rng = np.random.default_rng(seed)
+        pat = random_pattern(n, n_a, seed)
+        values = 10.0 ** rng.uniform(-5.0, 5.0, n_a) * np.exp(2j * np.pi * rng.random(n_a))
+        values[rng.random(n_a) < zeros] = 0.0
+        meas = Measurement(values=values, pattern=pat)
+        want = one_shot_initial_dft(meas.values, pat.positions, n)
+        assert initial_dft(meas).tobytes() == want.tobytes()
+
+    def test_kernel_is_one_complex_array(self):
+        # 16 bytes per complex entry: one n×n_a kernel fits under the bound, two do not
+        n, n_a = 1024, 512
+        meas = sample(np.ones(n, dtype=complex), random_pattern(n, n_a, seed=3))
+        tracemalloc.start()
+        try:
+            initial_dft(meas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * n * n_a
 
 
 class TestMissingNoiseVariance:
@@ -163,14 +200,42 @@ class TestThreshold:
     )
     def test_closed_forms_property(self, n, p, log10_var):
         # both forms stay finite up to var = 1e300; the paper form's variance
-        # is outside the root, so squaring it cannot overflow
+        # is outside the root, so squaring it cannot overflow. Below 2**-26
+        # u is the exact value; above it the library keeps the subtraction bit
+        # for bit, which is up to 3.6e-9 off in u (1e-10 in T) near the switch
         var = 10.0**log10_var
         u = 1.0 - p ** (1.0 / n)
+        if u < 2.0**-26:
+            u = float(exact_tail_probability(p, n))
         forms = {"paper": var / n * math.sqrt(-math.log10(u)), "ref10": math.sqrt(-var * math.log(u))}
         for variant, expected in forms.items():
             got = threshold(var, n, ThresholdConfig(p=p, variant=variant))
             assert math.isfinite(got)
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log10_q=st.floats(min_value=-16.0, max_value=math.log10(0.5)),
+    n=st.integers(min_value=2, max_value=2**20),
+)
+@example(log10_q=-16.0, n=1024)
+@example(log10_q=-16.0, n=2)
+@example(log10_q=-2.0, n=2**20)
+def test_tail_probability_against_decimal(log10_q, n):
+    # 1 - p from 1e-16 to 0.5: the subtraction where it keeps half its digits,
+    # full relative accuracy below, and never 0 for p < 1
+    p = 1.0 - 10.0**log10_q
+    u = _tail_probability(p, n)
+    err = abs(decimal.Decimal(u) - exact_tail_probability(p, n))
+    subtraction = 1.0 - p ** (1.0 / n)
+    if subtraction >= 2.0**-26:
+        assert u == subtraction
+        assert err <= 2.0**-53
+    else:
+        assert u > 0.0
+        assert err <= 4 * 2.0**-53 * u
+    assert err <= 2.0**-27 * u
 
 
 @pytest.mark.parametrize("stage, message", [

@@ -51,6 +51,7 @@ COMMANDS = (
                          "--seed", "1", "--out", "bad"]),
     ("xcheck-zero-trials", ["xcheck", "--n", "64", "--na", "32", "--k", "1", "--p", "0.99",
                             "--trials", "0", "--seed", "1", "--out", "xc0.csv"]),
+    # 1 - p**(1/256) rounds to 0; the exact tail probability reconstructs, exit 0
     ("recon-p-near-one", ["recon", "--in", "sig.csv", "--na", "128",
                           "--p", "0.9999999999999999", "--seed", "1", "--out", "p1"]),
     ("recon-empty-support-hardware", ["recon", "--in", "two.csv", "--na", "1", "--p", "0.99",
@@ -139,6 +140,17 @@ COMMANDS = (
     ("gen-power-overflow", ["gen", "--n", "16", "--tones", "1e200@1", "--out", "pow.csv"]),
     ("recon-power-overflow", ["recon", "--in", "pow.csv", "--na", "8", "--p", "0.9",
                               "--seed", "1", "--out", "pow"]),
+    # lengths that are not powers of two, where 1/N is inexact and dividing the
+    # initial DFT's phase by N rounds
+    ("gen-odd-length", ["gen", "--n", "1000", "--tones", "random:6:1:2", "--seed", "4",
+                        "--out", "odd.csv"]),
+    ("recon-odd-length", ["recon", "--in", "odd.csv", "--na", "600", "--p", "0.99",
+                          "--seed", "9", "--out", "odd"]),
+    ("recon-odd-length-hardware", ["recon", "--in", "odd.csv", "--na", "600", "--p", "0.99",
+                                   "--seed", "9", "--path", "hardware", "--out", "oddhw"]),
+    ("calibrate-odd-length", ["calibrate", "--n", "300", "--na", "150", "--tones",
+                              "1@17,2@101", "--p", "0.9", "--trials", "100", "--seed", "3",
+                              "--out", "codd.csv"]),
 )
 
 
