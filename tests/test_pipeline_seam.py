@@ -1,6 +1,7 @@
 """The reference and hardware pipelines share every stage but the threshold."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ def test_paper_threshold_finite_where_q15_variance_overflows():
     assert ref.detection.threshold == pytest.approx(4.95e303, rel=1e-3)
     assert abs(hw.detection.threshold - ref.detection.threshold) <= 1e-3 * ref.detection.threshold
     assert trace.var_fixed == int(ref.detection.variance) << 15
+
+
+@pytest.mark.parametrize("pipeline", [reconstruct, lambda *args: reconstruct_hardware(*args)[0]],
+                         ids=["reference", "hardware"])
+def test_memory_stays_bounded_at_large_n_on_both_paths(pipeline):
+    # N=4096, N_a=2048: the whole initial-DFT kernel would be 128 MiB
+    n, n_a = 4096, 2048
+    bins = np.random.default_rng(16).permutation(n)[:16]
+    spec = SparseSpec(n=n, components=[(1.0, int(k)) for k in bins])
+    meas = sample(synthesize(spec), random_pattern(n, n_a, seed=5))
+    tracemalloc.start()
+    try:
+        result = pipeline(meas, ThresholdConfig(p=0.99), sum_sq_amplitudes(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    np.testing.assert_array_equal(result.detection.positions, np.sort(bins))
 
 
 def _outcome(pipeline, meas, cfg, ssa):

@@ -101,6 +101,10 @@ class TestInitialDft:
     )
     @example(n=4096, fraction=0.5, seed=1, zeros=0.1)
     @example(n=1000, fraction=0.998, seed=2, zeros=0.1)  # n_a = 999
+    # n_a = 2048: 128 rows per 4 MiB block, and N a multiple of it (32 blocks)
+    @example(n=4096, fraction=2047 / 4096, seed=3, zeros=0.1)
+    # n_a = 2048 and N = 2049: plain 128-row blocks would leave a one-row last block
+    @example(n=2049, fraction=0.9993, seed=4, zeros=0.1)
     def test_same_bits_as_the_one_shot_expression(self, n, fraction, seed, zeros):
         # any length, powers of two or not; magnitudes 1e-5..1e5 and exact zeros
         n_a = min(n, 1 + int(fraction * n))
@@ -112,9 +116,9 @@ class TestInitialDft:
         want = one_shot_initial_dft(meas.values, pat.positions, n)
         assert initial_dft(meas).tobytes() == want.tobytes()
 
-    def test_kernel_is_one_complex_array(self):
-        # 16 bytes per complex entry: one n×n_a kernel fits under the bound, two do not
-        n, n_a = 1024, 512
+    def test_kernel_memory_is_one_block(self):
+        # the whole 4096×2048 kernel is 128 MiB; one block of it is 4 MiB
+        n, n_a = 4096, 2048
         meas = sample(np.ones(n, dtype=complex), random_pattern(n, n_a, seed=3))
         tracemalloc.start()
         try:
@@ -122,7 +126,7 @@ class TestInitialDft:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 16 * n * n_a
+        assert peak < 8 << 20
 
 
 class TestMissingNoiseVariance:

@@ -151,6 +151,13 @@ COMMANDS = (
     ("calibrate-odd-length", ["calibrate", "--n", "300", "--na", "150", "--tones",
                               "1@17,2@101", "--p", "0.9", "--trials", "100", "--seed", "3",
                               "--out", "codd.csv"]),
+    # N=4096, N_a=2048: the initial DFT's kernel runs in 32 blocks of 128 rows
+    ("gen-wide", ["gen", "--n", "4096", "--tones", "random:16:1:2", "--seed", "5",
+                  "--out", "wide.csv"]),
+    ("recon-wide", ["recon", "--in", "wide.csv", "--na", "2048", "--p", "0.99", "--seed", "6",
+                    "--out", "wide"]),
+    ("recon-wide-hardware", ["recon", "--in", "wide.csv", "--na", "2048", "--p", "0.99",
+                             "--seed", "6", "--path", "hardware", "--out", "widehw"]),
 )
 
 
