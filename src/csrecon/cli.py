@@ -87,7 +87,7 @@ def _parse_tones(text: str, n: int, seed: int | None) -> list[tuple[float, int]]
 
 def _spec_from_args(args) -> SparseSpec:
     n = int(_whole(args.n, "signal length", least=2))
-    tones_text = args.tones if args.tones else f"random:{args.k}:1:1"
+    tones_text = args.tones if args.tones is not None else f"random:{args.k}:1:1"
     return SparseSpec(n=n, components=_parse_tones(tones_text, n, args.seed))
 
 

@@ -30,7 +30,7 @@ from .recon_core import (
     initial_dft,  # noqa: F401  bench/tests/test_bench.py checks spans wrap this binding too
     missing_noise_variance,
 )
-from .signal_model import Measurement, SamplingPattern
+from .signal_model import Measurement
 
 __all__ = [
     "FixedThresholdTrace",
@@ -79,8 +79,11 @@ def threshold_fixed(
     double-precision threshold for variances from 1e-6 to 1e300.
     """
     cfg = ThresholdConfig(p=p, variant=variant)
-    var = missing_noise_variance(n, n_a, sum_sq_amp)
+    return _fixed_threshold(missing_noise_variance(n, n_a, sum_sq_amp), n, cfg)[1]
 
+
+def _fixed_threshold(var: float, n: int, cfg: ThresholdConfig):
+    """Threshold stage of the hardware pipeline: the datapath and its trace."""
     # the n-th root of p has no dedicated hardware unit; host precision
     log_term = lut_log2(_tail_probability(cfg.p, n))
     scale, root_arg = _threshold_terms(var, log_term.value * math.log(2.0), n, cfg.variant)
@@ -91,7 +94,7 @@ def threshold_fixed(
         shift += 1
     root_in = round(math.ldexp(root_arg, shift))
     root_out = nr_sqrt(root_in)
-    return FixedThresholdTrace(
+    trace = FixedThresholdTrace(
         # exact in integers: ldexp(var, 15) overflows a double past about 5.5e303
         var_fixed=(int(var) << 15) + round(math.ldexp(var - int(var), 15)),
         log_term=log_term,
@@ -100,6 +103,7 @@ def threshold_fixed(
         t_fixed=scale * math.ldexp(root_out.root, -(shift // 2)),
         scale_shift=shift,
     )
+    return trace.t_fixed, trace
 
 
 def comparator(v_spec: np.ndarray, t: float) -> np.ndarray:
@@ -112,12 +116,6 @@ def comparator(v_spec: np.ndarray, t: float) -> np.ndarray:
     bits = np.zeros(np.size(v_spec), dtype=np.uint8)
     bits[detect_positions(v_spec, t)] = 1
     return bits
-
-
-def _fixed_threshold(pattern: SamplingPattern, ssa: float, var: float, cfg: ThresholdConfig):
-    """Threshold stage of the hardware pipeline: the datapath and its trace."""
-    trace = threshold_fixed(pattern.n, pattern.n_a, ssa, cfg.p, cfg.variant)
-    return trace.t_fixed, trace
 
 
 def part1_pipeline(

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signal_model import _whole
+from .signal_model import _real, _whole
 
 __all__ = [
     "LOG_SCALE_BITS",
@@ -68,7 +68,7 @@ def lut_log2(x: float) -> FixedLog:
     Exact at powers of two; worst-case error is one table step plus entry
     rounding, about 3.7e-4 in log2 units.
     """
-    x = float(x)
+    x = _real(x, "input")
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"expected a positive finite value, got {x}")
     m, e = math.frexp(x)  # x = (2m) * 2**(e-1), 2m in [1, 2)

@@ -55,15 +55,14 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 
 
 def _draws(x: np.ndarray, n_a: int, trials: int, master_seed: int):
-    """Each trial's seed, (T, n_a) positions and x there: random_pattern draws, checked once."""
+    """Each trial's seed, (T, n_a) positions and x there: random_pattern draws, whose rule
+    makes distinct positions in [0, n) once 1 <= n_a <= n is checked."""
     n_a = int(_whole(n_a, "available count"))
     if not 1 <= n_a <= x.size:
         raise ValueError(f"available count {n_a} outside [1, {x.size}]")
     seeds = [derive_trial_seed(master_seed, i)
              for i in range(int(_whole(trials, "trial count", least=1)))]
-    pos = _whole([_draw(x.size, n_a, seed) for seed in seeds], "position", x.size)
-    if (np.diff(np.sort(pos)) == 0).any():
-        raise ValueError("positions must be distinct")
+    pos = np.array([_draw(x.size, n_a, seed) for seed in seeds])
     values = x[pos]
     if not np.isfinite(values).all():
         raise ValueError("measurement values must be finite")

@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .csvio import fmt, write_csv
-from .signal_model import (Measurement, SamplingPattern, _whole, estimate_sum_sq_amplitudes,
-                           spectral_positioning)
+from .signal_model import (Measurement, SamplingPattern, _real, _whole,
+                           estimate_sum_sq_amplitudes, spectral_positioning)
 
 __all__ = [
     "ThresholdVariant",
@@ -87,7 +87,7 @@ class ThresholdConfig:
     amp_mode: AmpMode = AmpMode.ORACLE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", _real(self.p, "probability"))
         object.__setattr__(self, "variant", ThresholdVariant(self.variant))
         object.__setattr__(self, "amp_mode", AmpMode(self.amp_mode))
         if not 0.0 < self.p < 1.0:
@@ -145,9 +145,10 @@ _BLOCK_BYTES = 4 << 20
 
 def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run:
-    ``exp(-2j*pi*outer(k, positions)/n) @ values`` bit for bit, built in place in equal blocks of
-    rows in one buffer of at most ``_BLOCK_BYTES``. k·p is exact, and a bin is the same gemv row
-    sum in any block of two rows or more; numpy sends one row to its dot, which sums otherwise."""
+    ``exp(-2j*pi*outer(k, positions)/n) @ values``, built in place in equal blocks of rows in one
+    buffer of at most ``_BLOCK_BYTES``. k·p is exact, and a bin is the same gemv row sum in any
+    block of two rows or more; numpy sends one row to its dot, which sums otherwise. So the bits
+    match while N_a <= 87381, where every block has three rows or more; past it, up to 1e-14 off."""
     positions = np.asarray(positions, dtype=complex)
     blocks = -(-n // max(1, _BLOCK_BYTES // (16 * len(positions))))
     edges = [n * i // blocks for i in range(blocks + 1)]
@@ -171,7 +172,7 @@ def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
     """
     n = int(_whole(n, "signal length", least=2))
     n_a = int(_whole(n_a, "available count"))
-    sum_sq_amp = float(sum_sq_amp)
+    sum_sq_amp = _real(sum_sq_amp, "sum of squared amplitudes")
     if not 1 <= n_a <= n:
         raise ValueError(f"available count {n_a} outside [1, {n}]")
     if not (math.isfinite(sum_sq_amp) and sum_sq_amp >= 0.0):
@@ -212,7 +213,7 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
     The argument of the square root is nonnegative for every valid input
     because 0 < 1 - p**(1/n) < 1 makes the logarithm negative.
     """
-    var = float(var)
+    var = _real(var, "variance")
     if not var >= 0.0:
         raise ValueError(f"variance must be nonnegative, got {var}")
     ln_u = math.log(_tail_probability(cfg.p, n))
@@ -223,6 +224,7 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
 def detect_positions(v_spec: np.ndarray, t: float) -> np.ndarray:
     """The comparator: ascending indices of the bins whose magnitude strictly
     exceeds :func:`effective_threshold`. ``v_spec`` is the spectrum or |V|."""
+    t = _real(t, "threshold")
     if not t >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     return np.flatnonzero(_above(np.abs(v_spec), t)).astype(np.int64, copy=False)
@@ -241,7 +243,7 @@ def effective_threshold(t: float, v_spec: np.ndarray) -> float | np.ndarray:
     arithmetic from being detected when the modeled threshold is exactly
     zero (no missing samples); above it the floor has no effect.
     """
-    level = np.fmax(float(t), 1e-9 * np.abs(v_spec).max(axis=-1, initial=0.0, keepdims=True))
+    level = np.fmax(_real(t, "threshold"), 1e-9 * np.abs(v_spec).max(axis=-1, initial=0.0, keepdims=True))
     return level if level.ndim > 1 else float(level[0])
 
 
@@ -309,27 +311,25 @@ def idft(x_spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.asarray(x_spec, dtype=complex))
 
 
-def _reference_threshold(pattern: SamplingPattern, ssa: float, var: float, cfg: ThresholdConfig):
+def _reference_threshold(var: float, n: int, cfg: ThresholdConfig):
     """Threshold stage of the reference pipeline: the closed form, no record."""
-    return threshold(var, pattern.n, cfg), None
+    return threshold(var, n, cfg), None
 
 
 def _detect(meas: Measurement, cfg: ThresholdConfig, sum_sq_amp: float | None, threshold_stage):
     """Part 1 of both pipelines: initial DFT, variance, threshold, comparator.
 
-    ``threshold_stage(pattern, ssa, var, cfg)`` is the one stage the two
-    pipelines do not share; it returns the threshold and a record of how it
-    was computed. Returns the detection, the initial DFT and that record.
+    ``threshold_stage(var, n, cfg)`` is the one stage the two pipelines do
+    not share; it returns the threshold and a record of how it was computed.
+    Returns the detection, the initial DFT and that record.
     """
     v_spec = initial_dft(meas)
-    if cfg.amp_mode is AmpMode.ORACLE:
-        if sum_sq_amp is None:
-            raise ValueError("oracle amplitude mode requires sum_sq_amp")
-        ssa = float(sum_sq_amp)
-    else:
-        ssa = estimate_sum_sq_amplitudes(meas)
-    var = missing_noise_variance(meas.pattern.n, meas.pattern.n_a, ssa)
-    t, record = threshold_stage(meas.pattern, ssa, var, cfg)
+    if cfg.amp_mode is AmpMode.ESTIMATE:
+        sum_sq_amp = estimate_sum_sq_amplitudes(meas)
+    elif sum_sq_amp is None:
+        raise ValueError("oracle amplitude mode requires sum_sq_amp")
+    var = missing_noise_variance(meas.pattern.n, meas.pattern.n_a, sum_sq_amp)
+    t, record = threshold_stage(var, meas.pattern.n, cfg)
     pos = detect_positions(v_spec, t)
     return DetectionResult(threshold=t, variance=var, positions=pos), v_spec, record
 

@@ -59,6 +59,14 @@ def _whole(values, what: str, below: int | None = None, least: int | None = None
     return whole
 
 
+def _real(value, what: str) -> float:
+    """``float(value)``, refusing bool, complex and text values by dtype as :func:`_whole` does."""
+    dtype = np.asarray(value).dtype
+    if dtype.kind not in "iufO":
+        raise ValueError(f"{what} must be a real number, not {dtype.name}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseSpec:
     """Definition of a K-component multitone signal.
@@ -77,7 +85,7 @@ class SparseSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", int(_whole(self.n, "signal length", least=2)))
-        comps = tuple((float(a), int(_whole(k, "frequency bin", self.n)))
+        comps = tuple((_real(a, "amplitude"), int(_whole(k, "frequency bin", self.n)))
                       for a, k in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:

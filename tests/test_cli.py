@@ -83,6 +83,7 @@ class TestGen:
         ("random:2.5:1:2", "invalid tone count '2.5'"),
         ("1@x", "invalid frequency bin 'x'"),
         ("abc@3", "invalid amplitude 'abc'"),
+        ("", "expected A@k, got ''"),
         ("random:2:3:1", "invalid amplitude range '3:1': hi - lo must be finite and nonnegative"),
         ("random:2:1:inf",
          "invalid amplitude range '1:inf': hi - lo must be finite and nonnegative"),

@@ -24,6 +24,7 @@ from csrecon.recon_core import (
 )
 from csrecon.signal_model import (
     SparseSpec,
+    estimate_sum_sq_amplitudes,
     random_pattern,
     sample,
     sum_sq_amplitudes,
@@ -173,6 +174,8 @@ def test_paths_differ_only_in_threshold(n, na_frac, k, seed, p, amp_mode):
 
     ref_detection, _, _ = _detect(meas, cfg, ssa, _reference_threshold)
     hw_detection, _, hw_trace = part1_pipeline(meas, cfg, ssa)
+    ssa_used = ssa if amp_mode is AmpMode.ORACLE else estimate_sum_sq_amplitudes(meas)
+    assert hw_trace == threshold_fixed(n, n_a, ssa_used, p, cfg.variant)
     ref = _outcome(reconstruct, meas, cfg, ssa)
     hw = _outcome(reconstruct_hardware, meas, cfg, ssa)
 

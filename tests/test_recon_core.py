@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from csrecon.hw_datapath import comparator
+from csrecon.hw_datapath import comparator, reconstruct_hardware, threshold_fixed
+from csrecon.hw_primitives import lut_log2
 from csrecon.recon_core import (
     AmpMode,
     _above,
@@ -251,6 +252,32 @@ def test_nan_at_threshold_stage_boundary_rejected(stage, message):
     # NaN compares false both ways; a `< 0` guard lets it through
     with pytest.raises(ValueError, match=message):
         stage()
+
+
+@pytest.mark.parametrize("bad", [np.complex128(0.5 + 1j), 0.5 + 0j, True, np.bool_(True), "0.5"],
+                         ids=["numpy-complex", "complex", "bool", "numpy-bool", "text"])
+@pytest.mark.parametrize("call, what", [
+    (lambda v: SparseSpec(n=8, components=[(v, 2)]), "amplitude"),
+    (lambda v: ThresholdConfig(p=v), "probability"),
+    (lambda v: threshold_fixed(64, 32, 1.0, v), "probability"),
+    (lambda v: missing_noise_variance(64, 32, v), "sum of squared amplitudes"),
+    (lambda v: threshold_fixed(64, 32, v, 0.99), "sum of squared amplitudes"),
+    (lambda v: reconstruct(full_measurement(np.ones(8)), ThresholdConfig(p=0.99), v),
+     "sum of squared amplitudes"),
+    (lambda v: reconstruct_hardware(full_measurement(np.ones(8)), ThresholdConfig(p=0.99), v),
+     "sum of squared amplitudes"),
+    (lambda v: threshold(v, 64, ThresholdConfig(p=0.99)), "variance"),
+    (lambda v: detect_positions(np.ones(4), v), "threshold"),
+    (lambda v: effective_threshold(v, np.ones(4)), "threshold"),
+    (lambda v: lut_log2(v), "input"),
+], ids=["amplitude", "p", "threshold_fixed-p", "variance-ssa", "threshold_fixed-ssa",
+        "reconstruct-ssa", "reconstruct_hardware-ssa", "threshold-var", "detect_positions-t",
+        "effective_threshold-t", "lut_log2-x"])
+def test_real_argument_refuses_complex_bool_and_text(call, what, bad):
+    # float() would drop the imaginary part, read a bool as 0 or 1, or parse the text
+    message = f"{what} must be a real number, not {np.asarray(bad).dtype.name}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 class TestDetectPositions:

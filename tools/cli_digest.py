@@ -117,6 +117,8 @@ COMMANDS = (
                                    "--seed", "1", "--out", "fcount.csv"]),
     ("gen-text-bin", ["gen", "--n", "16", "--tones", "1@x", "--out", "tbin.csv"]),
     ("gen-text-amplitude", ["gen", "--n", "16", "--tones", "abc@3", "--out", "tamp.csv"]),
+    # an empty tone text is parsed as given, not replaced by --k's default
+    ("gen-empty-tones", ["gen", "--n", "16", "--tones", "", "--out", "etones.csv"]),
     ("gen-reversed-range", ["gen", "--n", "16", "--tones", "random:2:3:1", "--seed", "1",
                             "--out", "rrange.csv"]),
     ("gen-infinite-range", ["gen", "--n", "16", "--tones", "random:2:1:inf", "--seed", "1",
