@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hw_datapath import reconstruct_hardware, threshold_fixed
+from .hw_datapath import _fixed_threshold, reconstruct_hardware
 from .recon_core import (
     AmpMode,
     ReconstructionResult,
@@ -54,9 +54,10 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _draws(x: np.ndarray, n_a: int, trials: int, master_seed: int):
-    """Each trial's seed, (T, n_a) positions and x there: random_pattern draws, whose rule
-    makes distinct positions in [0, n) once 1 <= n_a <= n is checked."""
+def _draws(spec: SparseSpec, n_a: int, trials: int, master_seed: int):
+    """The signal, each trial's seed, (T, n_a) positions and the signal there: random_pattern
+    draws, whose rule makes distinct positions in [0, n) once 1 <= n_a <= n is checked."""
+    x = synthesize(spec)
     n_a = int(_whole(n_a, "available count"))
     if not 1 <= n_a <= x.size:
         raise ValueError(f"available count {n_a} outside [1, {x.size}]")
@@ -66,17 +67,19 @@ def _draws(x: np.ndarray, n_a: int, trials: int, master_seed: int):
     values = x[pos]
     if not np.isfinite(values).all():
         raise ValueError("measurement values must be finite")
-    return seeds, pos, values
+    return x, seeds, pos, values
 
 
-def _oracle_model(spec: SparseSpec, n_a: int, cfg: ThresholdConfig):
-    """The signal, its oracle sum of squared amplitudes and the model noise variance;
-    refuses the estimate amplitude mode, which the noise model cannot honour."""
+def _noise_spectra(spec: SparseSpec, n_a: int, cfg: ThresholdConfig, trials: int, master_seed: int):
+    """The noise model's variance and reference threshold, each trial's seed and the (T, N)
+    stack of the trials' |V|; refuses the estimate amplitude mode, which the model cannot honour."""
     if cfg.amp_mode is not AmpMode.ORACLE:
         raise ValueError("calibration and xcheck need the oracle amplitude mode, "
                          f"got '{cfg.amp_mode.value}'")
-    ssa = sum_sq_amplitudes(spec)
-    return synthesize(spec), ssa, missing_noise_variance(spec.n, n_a, ssa)
+    var = missing_noise_variance(spec.n, n_a, sum_sq_amplitudes(spec))
+    t = threshold(var, spec.n, cfg)
+    _, seeds, pos, values = _draws(spec, n_a, trials, master_seed)
+    return var, t, seeds, np.array([np.abs(_dense_dft(v, p, spec.n)) for p, v in zip(pos, values)])
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,8 @@ def run_recovery_trials(
     hardware: bool = False,
 ) -> list[Metrics]:
     """Reconstruct the same signal under independently drawn patterns."""
-    x = synthesize(spec)
     ssa = sum_sq_amplitudes(spec)
-    _, pos, values = _draws(x, n_a, trials, master_seed)
+    x, _, pos, values = _draws(spec, n_a, trials, master_seed)
     out = []
     for p, v in zip(pos, values):
         meas = Measurement(values=v, pattern=SamplingPattern(n=spec.n, positions=p))
@@ -181,12 +183,9 @@ def run_variance_calibration(
     A trial counts as below the threshold when the pipelines' comparator rule, the
     one :func:`~csrecon.recon_core.detect_positions` applies, flags no noise bin.
     """
-    x, _, var = _oracle_model(spec, n_a, cfg)
-    t = threshold(var, spec.n, cfg)
+    var, t, seeds, mags = _noise_spectra(spec, n_a, cfg, trials, master_seed)
     noise = np.ones(spec.n, dtype=bool)
     noise[spec.freq_bins] = False
-    seeds, pos, values = _draws(x, n_a, trials, master_seed)
-    mags = np.array([np.abs(_dense_dft(v, p, spec.n)) for p, v in zip(pos, values)])
     all_below = ~(_above(mags, t) & noise).any(axis=1)
     # row by row: np.mean along an axis sums in another order than on one row
     rows = [CalibrationTrial(trial, seed, float(np.mean(row**2)), float(row.max()), bool(below))
@@ -229,13 +228,10 @@ def run_threshold_xcheck(
     trials: int,
     master_seed: int,
 ) -> XcheckResult:
-    """Compare thresholds and detected supports between the two paths."""
-    x, ssa, var = _oracle_model(spec, n_a, cfg)
-    t_ref = threshold(var, spec.n, cfg)
-    t_fix = threshold_fixed(spec.n, n_a, ssa, cfg.p, cfg.variant).t_fixed
+    """Compare the pipelines' two threshold stages on one model variance, and the supports they detect."""
+    var, t_ref, seeds, mags = _noise_spectra(spec, n_a, cfg, trials, master_seed)
+    t_fix = _fixed_threshold(var, spec.n, cfg)[0]
     rel_err = abs(t_fix - t_ref) / t_ref if t_ref > 0.0 else abs(t_fix)
-    seeds, pos, values = _draws(x, n_a, trials, master_seed)
-    mags = np.array([np.abs(_dense_dft(v, p, spec.n)) for p, v in zip(pos, values)])
     match = (_above(mags, t_ref) == _above(mags, t_fix)).all(axis=1)
     rows = [XcheckTrial(trial, seed, bool(m)) for trial, (seed, m) in enumerate(zip(seeds, match))]
     return XcheckResult(

@@ -323,13 +323,13 @@ def _detect(meas: Measurement, cfg: ThresholdConfig, sum_sq_amp: float | None, t
     not share; it returns the threshold and a record of how it was computed.
     Returns the detection, the initial DFT and that record.
     """
-    v_spec = initial_dft(meas)
     if cfg.amp_mode is AmpMode.ESTIMATE:
         sum_sq_amp = estimate_sum_sq_amplitudes(meas)
     elif sum_sq_amp is None:
         raise ValueError("oracle amplitude mode requires sum_sq_amp")
     var = missing_noise_variance(meas.pattern.n, meas.pattern.n_a, sum_sq_amp)
     t, record = threshold_stage(var, meas.pattern.n, cfg)
+    v_spec = initial_dft(meas)  # last: every input is checked before the O(N·N_a) kernel
     pos = detect_positions(v_spec, t)
     return DetectionResult(threshold=t, variance=var, positions=pos), v_spec, record
 

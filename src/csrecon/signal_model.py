@@ -35,10 +35,8 @@ def _whole(values, what: str, below: int | None = None, least: int | None = None
     under ``least``, naming ``what`` and the first such value. Integer, float and object
     (Python int) data are read; bool, complex and text data are refused by dtype. Bounds
     are compared on Python ints or an array's extremes, so a valid call builds no mask."""
-    raw = np.asarray(values)
+    raw = _typed(values, what, "a whole number")
     kind = raw.dtype.kind
-    if kind not in "iufO":
-        raise ValueError(f"{what} must be a whole number, not {raw.dtype.name}")
     if kind == "f":  # float16/32 widened, so the 64-bit bounds compare without overflow
         raw = raw.astype(np.result_type(raw, np.float64), copy=False)
     if kind == "i":
@@ -61,10 +59,17 @@ def _whole(values, what: str, below: int | None = None, least: int | None = None
 
 def _real(value, what: str) -> float:
     """``float(value)``, refusing bool, complex and text values by dtype as :func:`_whole` does."""
-    dtype = np.asarray(value).dtype
-    if dtype.kind not in "iufO":
-        raise ValueError(f"{what} must be a real number, not {dtype.name}")
+    _typed(value, what, "a real number")
     return float(value)
+
+
+def _typed(values, what: str, noun: str, kinds: str = "iufO") -> np.ndarray:
+    """``values`` as an array; a dtype kind outside ``kinds`` raises naming ``what`` and the
+    dtype, so bool and text data are refused where numpy would read 0 or 1 or parse them."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be {noun}, not {raw.dtype.name}")
+    return raw
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +151,7 @@ class Measurement:
     pattern: SamplingPattern
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex).copy()
+        vals = _typed(self.values, "measurement values", "numbers", "iufcO").astype(complex)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size != self.pattern.n_a:
@@ -199,7 +204,7 @@ def _draw(n: int, n_a: int, seed: int) -> np.ndarray:
 
 def sample(x: np.ndarray, pattern: SamplingPattern) -> Measurement:
     """Select the signal samples at the pattern's positions."""
-    x = np.asarray(x, dtype=complex)
+    x = _typed(x, "signal samples", "numbers", "iufcO")
     if x.ndim != 1 or x.size != pattern.n:
         raise ValueError(f"signal length {x.size} does not match pattern length {pattern.n}")
     return Measurement(values=x[pattern.positions], pattern=pattern)

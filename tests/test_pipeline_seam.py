@@ -1,6 +1,7 @@
 """The reference and hardware pipelines share every stage but the threshold."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csrecon import recon_core
 from csrecon.hw_datapath import part1_pipeline, reconstruct_hardware, threshold_fixed
 from csrecon.montecarlo import run_threshold_xcheck, run_variance_calibration
 from csrecon.recon_core import (
@@ -57,6 +59,22 @@ def test_empty_support_solves_to_positive_zeros_on_both_paths(pipeline):
         assert signal.shape == (64,)
         for part in (signal.real, signal.imag):
             assert np.all(part == 0.0) and not np.signbit(part).any()
+
+
+@pytest.mark.parametrize("ssa, message", [
+    (None, "oracle amplitude mode requires sum_sq_amp"),
+    (math.nan, "sum of squared amplitudes must be finite and nonnegative, got nan"),
+    (1e307, "threshold overflows: square-root argument is inf"),  # var = 16.25 * ssa
+], ids=["missing", "nan", "overflow"])
+@pytest.mark.parametrize("pipeline", [reconstruct, reconstruct_hardware, part1_pipeline])
+def test_invalid_input_fails_before_the_initial_dft(monkeypatch, pipeline, ssa, message):
+    def initial_dft(meas):
+        raise AssertionError("the O(N·N_a) initial DFT ran before the inputs were checked")
+
+    meas = _measurement()
+    monkeypatch.setattr(recon_core, "initial_dft", initial_dft)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pipeline(meas, ThresholdConfig(p=0.99), ssa)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

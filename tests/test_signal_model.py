@@ -199,6 +199,27 @@ class TestSample:
         with pytest.raises(ValueError, match="finite"):
             Measurement(values=[1.0, bad], pattern=pat)
 
+    @pytest.mark.parametrize("bad", [
+        np.array([True, False, True, True]),
+        np.array(["1", "2", "3", "4"]),
+        np.array([b"1", b"2", b"3", b"4"]),
+    ], ids=["bool", "text", "bytes"])
+    def test_bool_and_text_samples_refused_by_dtype(self, bad):
+        pat = SamplingPattern(n=4, positions=[0, 1, 2, 3])
+        name = re.escape(bad.dtype.name)
+        with pytest.raises(ValueError, match=f"^measurement values must be numbers, not {name}$"):
+            Measurement(values=bad, pattern=pat)
+        with pytest.raises(ValueError, match=f"^signal samples must be numbers, not {name}$"):
+            sample(bad, pat)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.float32, np.complex64,
+                                       complex, object])
+    def test_numeric_samples_accepted(self, dtype):
+        pat = SamplingPattern(n=4, positions=[2, 0])
+        meas = sample(np.array([1, 2, 3, 4], dtype=dtype), pat)
+        assert meas.values.dtype == complex
+        np.testing.assert_array_equal(meas.values, [3, 1])
+
 
 class TestSamplingPatternValidation:
     def test_duplicates_rejected(self):
