@@ -94,12 +94,6 @@ def _spec_from_args(args) -> SparseSpec:
 _METRICS_HEADER = tuple(field.name for field in fields(Metrics))
 
 
-def _metrics_row(metrics: Metrics) -> list:
-    """The metrics CSV row in field order; ``recon`` also prints it as key=value pairs."""
-    return [str(v).lower() if isinstance(v, bool) else v if isinstance(v, int) else fmt(v)
-            for v in astuple(metrics)]
-
-
 def _write_sweep(path, report, columns, run_cells, trial_cells, summary_cells) -> None:
     """Write ``kind,trial,seed,<columns>``: a ``trial`` row per trial, then a ``summary`` row,
     each with the run-level ``run_cells`` before its own cells."""
@@ -133,9 +127,9 @@ def cmd_recon(args) -> int:
         result = reconstruct(meas, cfg, ssa)
     write_spectrum_csv(f"{args.out}.spectrum.csv", result.spectrum)
     write_detection_csv(f"{args.out}.detection.csv", result.detection)
-    row = _metrics_row(compute_metrics(result, x, true_support))
+    row = astuple(compute_metrics(result, x, true_support))
     write_csv(f"{args.out}.metrics.csv", _METRICS_HEADER, [row])
-    print(" ".join(f"{key}={value}" for key, value in zip(_METRICS_HEADER, row)))
+    print(" ".join(f"{key}={fmt(value)}" for key, value in zip(_METRICS_HEADER, row)))
     if result.empty_support:
         print("no bins above threshold", file=sys.stderr)
         return EXIT_EMPTY_SUPPORT
@@ -151,10 +145,9 @@ def cmd_calibrate(args) -> int:
     _write_sweep(
         args.out, report,
         ["threshold", "model_variance", "noise_power_mean", "noise_mag_max", "all_below"],
-        [fmt(report.threshold), fmt(report.model_variance)],
-        lambda row: [fmt(row.noise_power_mean), fmt(row.noise_mag_max), int(row.all_below)],
-        [fmt(report.empirical_variance), fmt(max(r.noise_mag_max for r in report.trials)),
-         fmt(report.p_hat)],
+        [report.threshold, report.model_variance],
+        lambda row: [row.noise_power_mean, row.noise_mag_max, int(row.all_below)],
+        [report.empirical_variance, max(r.noise_mag_max for r in report.trials), report.p_hat],
     )
     print(
         f"empirical_variance={fmt(report.empirical_variance)} "
@@ -170,8 +163,8 @@ def cmd_xcheck(args) -> int:
     report = run_threshold_xcheck(spec, args.na, cfg, args.trials, args.seed)
     _write_sweep(
         args.out, report, ["threshold_ref", "threshold_fixed", "rel_err", "support_match"],
-        [fmt(report.threshold_ref), fmt(report.threshold_fixed), fmt(report.max_rel_err)],
-        lambda row: [int(row.support_match)], [fmt(report.agreement_rate)],
+        [report.threshold_ref, report.threshold_fixed, report.max_rel_err],
+        lambda row: [int(row.support_match)], [report.agreement_rate],
     )
     print(f"max_rel_err={fmt(report.max_rel_err)} agreement_rate={fmt(report.agreement_rate)}")
     return EXIT_OK

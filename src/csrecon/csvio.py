@@ -1,4 +1,4 @@
-"""CSV output shared by every writer: one float format, one writer."""
+"""CSV output shared by every writer: one cell format, one writer; writers pass raw values."""
 
 import csv
 from collections.abc import Iterable, Sequence
@@ -6,14 +6,16 @@ from collections.abc import Iterable, Sequence
 __all__ = ["fmt", "write_csv"]
 
 
-def fmt(x: float) -> str:
-    """A float with 17 significant digits, enough to read back bit-exactly."""
-    return format(float(x), ".17g")
+def fmt(x) -> str:
+    """A CSV cell: a bool as ``true``/``false``, a float to 17 significant digits (enough to
+    read back bit-exactly), anything else, ints and text included, as ``str``."""
+    return (format(float(x), ".17g") if isinstance(x, float)
+            else str(x).lower() if isinstance(x, bool) else str(x))
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write a header row followed by ``rows`` to ``path``."""
+    """Write a header row followed by ``rows`` to ``path``, each cell through :func:`fmt`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(fmt, row) for row in rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import fmt, write_csv
+from .csvio import write_csv
 from .hw_primitives import FixedLog, SqrtResult, lut_log2, nr_sqrt
 from .recon_core import (
     DetectionResult,
@@ -149,12 +149,12 @@ def write_trace_csv(path, trace: FixedThresholdTrace) -> None:
     """Dump the threshold datapath stages as ``stage,raw_value,scaled_value``."""
     half_shift = trace.scale_shift // 2
     rows = [
-        ("variance", trace.var_fixed, fmt(trace.var_fixed / 2**15)),
-        ("log2_term", trace.log_term.raw, fmt(trace.log_term.value)),
-        ("root_in", trace.root_in, fmt(math.ldexp(trace.root_in, -trace.scale_shift))),
-        ("root", trace.root_out.root, fmt(math.ldexp(trace.root_out.root, -half_shift))),
-        ("remainder", trace.root_out.remainder, fmt(math.ldexp(trace.root_out.remainder, -trace.scale_shift))),
-        ("scale_shift", trace.scale_shift, str(trace.scale_shift)),
-        ("threshold", "", fmt(trace.t_fixed)),
+        ("variance", trace.var_fixed, trace.var_fixed / 2**15),
+        ("log2_term", trace.log_term.raw, trace.log_term.value),
+        ("root_in", trace.root_in, math.ldexp(trace.root_in, -trace.scale_shift)),
+        ("root", trace.root_out.root, math.ldexp(trace.root_out.root, -half_shift)),
+        ("remainder", trace.root_out.remainder, math.ldexp(trace.root_out.remainder, -trace.scale_shift)),
+        ("scale_shift", trace.scale_shift, trace.scale_shift),
+        ("threshold", "", trace.t_fixed),
     ]
     write_csv(path, ["stage", "raw_value", "scaled_value"], rows)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .csvio import fmt, write_csv
+from .csvio import write_csv
 from .signal_model import (Measurement, SamplingPattern, _real, _whole,
                            estimate_sum_sq_amplitudes, spectral_positioning)
 
@@ -370,7 +370,7 @@ def write_spectrum_csv(path, spectrum: np.ndarray) -> None:
     write_csv(
         path,
         ["bin", "re", "im", "magnitude"],
-        ([i, fmt(v.real), fmt(v.imag), fmt(abs(v))] for i, v in enumerate(spectrum)),
+        ([i, v.real, v.imag, abs(v)] for i, v in enumerate(spectrum)),
     )
 
 
@@ -379,6 +379,6 @@ def write_detection_csv(path, detection: DetectionResult) -> None:
     write_csv(
         path,
         ["threshold", "variance", "n_detected", "positions"],
-        [[fmt(detection.threshold), fmt(detection.variance), detection.n_detected,
+        [[detection.threshold, detection.variance, detection.n_detected,
           ";".join(str(int(p)) for p in detection.positions)]],
     )

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Complex, Number, Real
 
 import numpy as np
 
-from .csvio import fmt, write_csv
+from .csvio import write_csv
 
 __all__ = [
     "SparseSpec",
@@ -33,7 +34,7 @@ def _whole(values, what: str, below: int | None = None, least: int | None = None
     """``values`` as int64; rejects a value that is not a whole number or does not fit in
     64 bits instead of truncating or wrapping it, or that lies outside [0, ``below``) or
     under ``least``, naming ``what`` and the first such value. Integer, float and object
-    (Python int) data are read; bool, complex and text data are refused by dtype. Bounds
+    data are read; bool, complex and text are refused by :func:`_typed`. Bounds
     are compared on Python ints or an array's extremes, so a valid call builds no mask."""
     raw = _typed(values, what, "a whole number")
     kind = raw.dtype.kind
@@ -65,10 +66,16 @@ def _real(value, what: str) -> float:
 
 def _typed(values, what: str, noun: str, kinds: str = "iufO") -> np.ndarray:
     """``values`` as an array; a dtype kind outside ``kinds`` raises naming ``what`` and the
-    dtype, so bool and text data are refused where numpy would read 0 or 1 or parse them."""
+    dtype, so bool and text data are refused where numpy would read 0 or 1 or parse them.
+    An object array is checked by what it holds: a bool, a non-number or, unless ``kinds``
+    has ``c``, a complex element raises naming ``what`` and the element's type."""
     raw = np.asarray(values)
     if raw.dtype.kind not in kinds:
         raise ValueError(f"{what} must be {noun}, not {raw.dtype.name}")
+    for x in raw.flat if raw.dtype.kind == "O" else ():
+        imaginary = isinstance(x, Complex) and not isinstance(x, Real)
+        if isinstance(x, bool) or not isinstance(x, Number) or imaginary and "c" not in kinds:
+            raise ValueError(f"{what} must be {noun}, not {type(x).__name__}")
     return raw
 
 
@@ -132,8 +139,6 @@ class SamplingPattern:
         object.__setattr__(self, "positions", pos)
         if pos.ndim != 1 or pos.size < 1:
             raise ValueError("positions must be a nonempty 1-d sequence")
-        if pos.size > self.n:
-            raise ValueError(f"{pos.size} positions exceed signal length {self.n}")
         if np.unique(pos).size != pos.size:
             raise ValueError("positions must be distinct")
 
@@ -235,7 +240,7 @@ def write_signal_csv(path, samples: np.ndarray) -> None:
     write_csv(
         path,
         ["index", "re", "im"],
-        ([i, fmt(v.real), fmt(v.imag)] for i, v in enumerate(samples)),
+        ([i, v.real, v.imag] for i, v in enumerate(samples)),
     )
 
 

@@ -89,6 +89,7 @@ class TestGen:
          "invalid amplitude range '1:inf': hi - lo must be finite and nonnegative"),
         ("random:2:nan:2",
          "invalid amplitude range 'nan:2': hi - lo must be finite and nonnegative"),
+        ("random:2:1", "expected random:K:lo:hi, got 'random:2:1'"),
     ])
     def test_tone_grammar_error_names_the_field(self, tmp_path, capsys, tones, message):
         out = tmp_path / "x.csv"

@@ -254,8 +254,13 @@ def test_nan_at_threshold_stage_boundary_rejected(stage, message):
         stage()
 
 
-@pytest.mark.parametrize("bad", [np.complex128(0.5 + 1j), 0.5 + 0j, True, np.bool_(True), "0.5"],
-                         ids=["numpy-complex", "complex", "bool", "numpy-bool", "text"])
+@pytest.mark.parametrize("bad", [
+    np.complex128(0.5 + 1j), 0.5 + 0j, True, np.bool_(True), "0.5",
+    # an object array is checked by the element it holds
+    np.array("0.5", dtype=object), np.array(True, dtype=object),
+    np.array(0.5 + 1j, dtype=object), np.array(None, dtype=object),
+], ids=["numpy-complex", "complex", "bool", "numpy-bool", "text",
+        "object-text", "object-bool", "object-complex", "object-none"])
 @pytest.mark.parametrize("call, what", [
     (lambda v: SparseSpec(n=8, components=[(v, 2)]), "amplitude"),
     (lambda v: ThresholdConfig(p=v), "probability"),
@@ -275,7 +280,9 @@ def test_nan_at_threshold_stage_boundary_rejected(stage, message):
         "effective_threshold-t", "lut_log2-x"])
 def test_real_argument_refuses_complex_bool_and_text(call, what, bad):
     # float() would drop the imaginary part, read a bool as 0 or 1, or parse the text
-    message = f"{what} must be a real number, not {np.asarray(bad).dtype.name}"
+    raw = np.asarray(bad)
+    shown = type(raw.item()).__name__ if raw.dtype == object else raw.dtype.name
+    message = f"{what} must be a real number, not {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
 

@@ -1,4 +1,6 @@
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ class TestSparseSpec:
         with pytest.raises(ValueError,
                            match="^component count 2 must be smaller than signal length 2$"):
             SparseSpec(n=2, components=[(1.0, 0), (1.0, 1)])
+        with pytest.raises(ValueError, match="^at least one component required$"):
+            SparseSpec(n=8, components=[])
 
     def test_amplitude_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -203,10 +207,15 @@ class TestSample:
         np.array([True, False, True, True]),
         np.array(["1", "2", "3", "4"]),
         np.array([b"1", b"2", b"3", b"4"]),
-    ], ids=["bool", "text", "bytes"])
+        # an object array is checked by what it holds, here its first element
+        np.array(["1", "2j", "3", "4"], dtype=object),
+        np.array([True, 1, 2, 3], dtype=object),
+        np.array([b"1", 2, 3, 4], dtype=object),
+        np.array([None, 2, 3, 4], dtype=object),
+    ], ids=["bool", "text", "bytes", "object-text", "object-bool", "object-bytes", "object-none"])
     def test_bool_and_text_samples_refused_by_dtype(self, bad):
         pat = SamplingPattern(n=4, positions=[0, 1, 2, 3])
-        name = re.escape(bad.dtype.name)
+        name = re.escape(type(bad[0]).__name__ if bad.dtype == object else bad.dtype.name)
         with pytest.raises(ValueError, match=f"^measurement values must be numbers, not {name}$"):
             Measurement(values=bad, pattern=pat)
         with pytest.raises(ValueError, match=f"^signal samples must be numbers, not {name}$"):
@@ -225,6 +234,14 @@ class TestSamplingPatternValidation:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             SamplingPattern(n=4, positions=[1, 1])
+        # more positions than the length must repeat one
+        with pytest.raises(ValueError, match="^positions must be distinct$"):
+            SamplingPattern(n=2, positions=[0, 1, 0])
+
+    @pytest.mark.parametrize("positions", [[], [[0, 1]]], ids=["empty", "2-d"])
+    def test_positions_must_be_nonempty_1d(self, positions):
+        with pytest.raises(ValueError, match="^positions must be a nonempty 1-d sequence$"):
+            SamplingPattern(n=4, positions=positions)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -344,6 +361,9 @@ def _whole_rejection(values, below, least):
     if dtype.kind in "bcUS":
         return f"x must be a whole number, not {dtype.name}"
     flat = np.asarray(values, dtype=object).ravel().tolist()
+    for v in flat if dtype.kind == "O" else ():  # an object array is refused by element type
+        if isinstance(v, (bool, str, bytes)):
+            return f"x must be a whole number, not {type(v).__name__}"
     for v in flat:
         shown = str(v) if isinstance(v, int) else str(np.float64(v))
         if isinstance(v, float) and not (np.isfinite(v) and v.is_integer()):
@@ -377,6 +397,8 @@ _float = _near.map(float) | st.floats(-80, 80) | st.floats(allow_nan=True, allow
             lambda v, t=t: np.array(v, dtype=t)) for w, t in ((16, np.float16), (32, np.float32))),
         st.lists(_near | st.integers(-2**70, 2**70), max_size=6).map(
             lambda v: np.array(v, dtype=object)),
+        st.lists(_near | st.booleans() | st.sampled_from(["3", "x", b"3"]), min_size=1,
+                 max_size=6).map(lambda v: np.array(v, dtype=object)),
         st.booleans(),
         st.lists(st.booleans(), max_size=6).map(lambda v: np.array(v, dtype=bool)),
         st.complex_numbers(max_magnitude=80),
@@ -393,6 +415,8 @@ _float = _near.map(float) | st.floats(-80, 80) | st.floats(allow_nan=True, allow
 @example(values=3 + 0j, below=None, least=None)
 @example(values=np.array([65504.0, 2.5], dtype=np.float16), below=None, least=None)
 @example(values=np.array([2**70, 3], dtype=object), below=None, least=None)
+@example(values=np.array([True], dtype=object), below=None, least=None)
+@example(values=np.array([3, "3"], dtype=object), below=None, least=None)
 def test_whole_checks_every_bound(values, below, least):
     message = _whole_rejection(values, below, least)
     if message is not None:
@@ -403,3 +427,10 @@ def test_whole_checks_every_bound(values, below, least):
         got = _whole(values, "x", below, least=least)
         assert got.dtype == np.int64 and got.shape == np.shape(values)
         assert got.ravel().tolist() == [int(v) for v in np.asarray(values, dtype=object).ravel()]
+
+
+@pytest.mark.parametrize("number", [3, 3.0, np.int64(3), Fraction(3), Decimal(3)],
+                         ids=["int", "float", "numpy-int", "fraction", "decimal"])
+def test_object_array_of_numbers_accepted(number):
+    assert _whole(np.array([number, 2], dtype=object), "x").tolist() == [3, 2]
+    assert SparseSpec(n=8, components=[(np.array(number, dtype=object), 2)]).amplitudes[0] == 3.0
