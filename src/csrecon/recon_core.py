@@ -6,8 +6,9 @@ samples, derive a detection threshold, pick the bins above it, and solve a
 small least-squares system on a partial DFT matrix to recover the exact
 amplitudes at the detected bins. The zero-filled spectrum is then inverted
 back to the time domain. Apart from the two CSV writers at the end, everything
-here is a pure function; the fixed-point counterpart of the threshold stage
-lives in :mod:`csrecon.hw_datapath`.
+here is a pure function but for one memo that changes no bit: the initial DFT
+keeps the kernel of a repeated length N <= 512, at most 4 MiB. The fixed-point
+counterpart of the threshold stage lives in :mod:`csrecon.hw_datapath`.
 """
 
 from __future__ import annotations
@@ -142,25 +143,49 @@ def initial_dft(meas: Measurement) -> np.ndarray:
 # call (about 1000 page faults per 512×496 reconstruct); 4 MiB blocks keep them in the heap
 _BLOCK_BYTES = 4 << 20
 
+# the last call's length, and the read-only n×n kernel of the last n <= 512 called twice in a
+# row; a call reads _kernel once, so racing threads can at worst build it twice
+_last_n = 0
+_kernel = None
+
 
 def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run:
     ``exp(-2j*pi*outer(k, positions)/n) @ values``, built in place in equal blocks of rows in one
     buffer of at most ``_BLOCK_BYTES``. k·p is exact, and a bin is the same gemv row sum in any
     block of two rows or more; numpy sends one row to its dot, which sums otherwise. So the bits
-    match while N_a <= 87381, where every block has three rows or more; past it, up to 1e-14 off."""
+    match while N_a <= 87381, where every block has three rows or more; past it, up to 1e-14 off.
+
+    The second call in a row at an n whose n×n kernel fits one block (n <= 512) builds and keeps
+    that kernel, read-only, in place of any other; each call at that n then gathers its columns
+    into the block the loop would build, from the same k·p by the same steps in the same layout,
+    so every bit holds. Calls at other lengths run the loop and leave the kernel in place."""
+    global _last_n, _kernel
+    kernel, repeated, _last_n = _kernel, n == _last_n, n
+    if (kernel is None or len(kernel) != n) and repeated and 16 * n * n <= _BLOCK_BYTES:
+        k = np.arange(n, dtype=complex)
+        kernel = _kernel_rows(np.empty((n, n), dtype=complex), k, k, n)
+        kernel.flags.writeable = False
+        _kernel = kernel
+    if kernel is not None and len(kernel) == n:
+        return np.take(kernel, positions, axis=1) @ values
     positions = np.asarray(positions, dtype=complex)
     blocks = -(-n // max(1, _BLOCK_BYTES // (16 * len(positions))))
     edges = [n * i // blocks for i in range(blocks + 1)]
     buf = np.empty((-(-n // blocks), len(positions)), dtype=complex)
     spectrum = np.empty(n, dtype=complex)
     for lo, hi in zip(edges, edges[1:]):
-        block = buf[:hi - lo]
-        np.multiply.outer(np.arange(lo, hi, dtype=complex), positions, out=block)
-        block *= -2j * np.pi
-        block /= n
-        np.matmul(np.exp(block, out=block), values, out=spectrum[lo:hi])
+        block = _kernel_rows(buf[:hi - lo], np.arange(lo, hi, dtype=complex), positions, n)
+        np.matmul(block, values, out=spectrum[lo:hi])
     return spectrum
+
+
+def _kernel_rows(out: np.ndarray, rows: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
+    """``exp(-2j*pi*outer(rows, positions)/n)`` built in place in ``out``; both complex."""
+    np.multiply.outer(rows, positions, out=out)
+    out *= -2j * np.pi
+    out /= n
+    return np.exp(out, out=out)
 
 
 def missing_noise_variance(n: int, n_a: int, sum_sq_amp: float) -> float:
@@ -282,8 +307,11 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     1e-10 of the largest. A non-finite ``AᴴA`` or ``Aᴴv`` raises
     :class:`ValueError` before the gate; both are empty, so finite, for an
     empty support, whose solution is empty. For a consistent system, i.e. the
-    true support under noiseless sampling, the solution is exactly n times the
-    component amplitudes.
+    true support under noiseless sampling, the solution is n times the
+    component amplitudes up to a relative error that grows with cond(A)²,
+    since the normal equations square A's condition number: up to 2.4e-13 at
+    cond(A) < 100, where the pipeline solves, but up to 8.2e-4 at the
+    cond(A) of about 1e7 that the gate still accepts (ROADMAP item 6).
     """
     a_cs = np.asarray(a_cs, dtype=complex)
     v = np.asarray(v, dtype=complex)

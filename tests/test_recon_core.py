@@ -2,6 +2,8 @@ import cmath
 import decimal
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from csrecon import recon_core
 from csrecon.hw_datapath import comparator, reconstruct_hardware, threshold_fixed
 from csrecon.hw_primitives import lut_log2
 from csrecon.recon_core import (
@@ -106,6 +109,9 @@ class TestInitialDft:
     @example(n=4096, fraction=2047 / 4096, seed=3, zeros=0.1)
     # n_a = 2048 and N = 2049: plain 128-row blocks would leave a one-row last block
     @example(n=2049, fraction=0.9993, seed=4, zeros=0.1)
+    # the largest kept length, whose whole kernel is exactly _BLOCK_BYTES, and the first not kept
+    @example(n=512, fraction=0.97, seed=5, zeros=0.1)
+    @example(n=513, fraction=0.97, seed=6, zeros=0.1)
     def test_same_bits_as_the_one_shot_expression(self, n, fraction, seed, zeros):
         # any length, powers of two or not; magnitudes 1e-5..1e5 and exact zeros
         n_a = min(n, 1 + int(fraction * n))
@@ -115,7 +121,79 @@ class TestInitialDft:
         values[rng.random(n_a) < zeros] = 0.0
         meas = Measurement(values=values, pattern=pat)
         want = one_shot_initial_dft(meas.values, pat.positions, n)
+        # twice: at n <= 512 the second call in a row gathers from the kept kernel
+        for _ in range(2):
+            assert initial_dft(meas).tobytes() == want.tobytes()
+
+    def test_same_bits_on_every_path_of_a_length_sequence(self, monkeypatch):
+        monkeypatch.setattr(recon_core, "_last_n", 0)
+        monkeypatch.setattr(recon_core, "_kernel", None)
+        kept = None
+        # first call, kernel built, gather, length switch, n > 512, first call again, gather
+        for step, n in enumerate([256, 256, 256, 512, 700, 512, 256]):
+            meas = sample(np.exp(2j * np.pi * np.random.default_rng(step).random(n)),
+                          random_pattern(n, n - 3 * step, seed=step))
+            want = one_shot_initial_dft(meas.values, meas.pattern.positions, n)
+            assert initial_dft(meas).tobytes() == want.tobytes(), (step, n)
+            if step == 1:
+                kept = recon_core._kernel
+            assert recon_core._kernel is kept, (step, n)
+        assert kept.shape == (256, 256)
+
+    def test_kept_kernel_is_read_only_and_spectra_are_not_views(self, monkeypatch):
+        monkeypatch.setattr(recon_core, "_kernel", None)
+        meas = sample(np.arange(64, dtype=complex), random_pattern(64, 40, seed=1))
+        want = one_shot_initial_dft(meas.values, meas.pattern.positions, 64)
+        initial_dft(meas)
+        spectrum = initial_dft(meas)
+        assert recon_core._kernel.shape == (64, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            recon_core._kernel[0, 0] = 0.0
+        spectrum[:] = 7.0
         assert initial_dft(meas).tobytes() == want.tobytes()
+
+    def test_one_kernel_of_at_most_one_block_is_retained(self, monkeypatch):
+        monkeypatch.setattr(recon_core, "_last_n", 0)
+        monkeypatch.setattr(recon_core, "_kernel", None)
+        tracemalloc.start()
+        try:
+            for n in (512, 512, 256, 256):
+                initial_dft(sample(np.ones(n, dtype=complex), random_pattern(n, n // 2, seed=2)))
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces([tracemalloc.Filter(True, recon_core.__file__)])
+        retained = sum(stat.size for stat in held.statistics("filename"))
+        # the 256×256 kernel alone; the 4 MiB one for 512 would make it 5 MiB
+        assert 16 * 256**2 <= retained < 16 * 256**2 + (64 << 10)
+        assert retained <= recon_core._BLOCK_BYTES
+
+    def test_threads_sharing_the_kernel_get_the_same_bits(self):
+        # alternating lengths make every thread build, replace and gather the kernel
+        inputs = [sample(np.exp(1j * np.arange(n)), random_pattern(n, n - 5, seed=n))
+                  for n in (96, 96, 95, 96, 95, 95)]
+        wants = [one_shot_initial_dft(m.values, m.pattern.positions, m.pattern.n).tobytes()
+                 for m in inputs]
+        failures = []
+
+        def work():
+            for _ in range(40):
+                for meas, want in zip(inputs, wants):
+                    if initial_dft(meas).tobytes() != want:
+                        failures.append(meas.pattern.n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
     def test_kernel_memory_is_one_block(self):
         # the whole 4096×2048 kernel is 128 MiB; one block of it is 4 MiB
