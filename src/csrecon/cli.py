@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tone_flags(p_gen)
     p_gen.add_argument("--seed", type=int, help="required for random tones")
     p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_gen)
 
     p_recon = sub.add_parser("recon", help="reconstruct a signal from a random subset")
     p_recon.add_argument("--in", dest="infile", required=True)
@@ -210,11 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_enum_flag(p_recon, "--amp-mode", AmpMode.ORACLE)
     p_recon.add_argument("--path", choices=["reference", "hardware"], default="reference")
     p_recon.add_argument("--out", required=True, help="output file prefix")
-    p_recon.set_defaults(func=cmd_recon)
 
-    for name, help_text, func in (
-        ("calibrate", "Monte-Carlo noise model calibration", cmd_calibrate),
-        ("xcheck", "reference vs fixed-point threshold check", cmd_xcheck),
+    for name, help_text in (
+        ("calibrate", "Monte-Carlo noise model calibration"),
+        ("xcheck", "reference vs fixed-point threshold check"),
     ):
         p_sweep = sub.add_parser(name, help=help_text)
         p_sweep.add_argument("--n", type=int, required=True)
@@ -225,19 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
         p_sweep.add_argument("--trials", type=int, required=True)
         p_sweep.add_argument("--seed", type=int, required=True)
         p_sweep.add_argument("--out", required=True)
-        p_sweep.set_defaults(func=func)
 
     p_lut = sub.add_parser("dump-lut", help="dump the log table as index,value CSV")
     p_lut.add_argument("--out", required=True)
-    p_lut.set_defaults(func=cmd_dump_lut)
 
     return parser
 
 
+_parser = None  # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; ``cmd_<command>`` is looked up when it runs, so a rebound one is used."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UnderdeterminedError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LINALG

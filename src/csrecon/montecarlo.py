@@ -11,22 +11,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hw_datapath import _fixed_threshold, reconstruct_hardware
+from .hw_datapath import _fixed_threshold
 from .recon_core import (
+    _BLOCK_BYTES,
     AmpMode,
+    DetectionResult,
     ReconstructionResult,
     ThresholdConfig,
     _above,
     _dense_dft,
+    _reference_threshold,
+    _solve_stack,
+    _twiddles,
+    idft,
     missing_noise_variance,
-    reconstruct,
     threshold,
 )
 from .signal_model import (
-    Measurement,
-    SamplingPattern,
     SparseSpec,
     _draw,
+    _mean_power,
     _whole,
     sum_sq_amplitudes,
     synthesize,
@@ -79,7 +83,12 @@ def _noise_spectra(spec: SparseSpec, n_a: int, cfg: ThresholdConfig, trials: int
     var = missing_noise_variance(spec.n, n_a, sum_sq_amplitudes(spec))
     t = threshold(var, spec.n, cfg)
     _, seeds, pos, values = _draws(spec, n_a, trials, master_seed)
-    return var, t, seeds, np.array([np.abs(_dense_dft(v, p, spec.n)) for p, v in zip(pos, values)])
+    return var, t, seeds, _magnitudes(pos, values, spec.n)
+
+
+def _magnitudes(pos: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The (T, N) stack of |V|, one initial DFT per row of the (T, N_a) positions and values."""
+    return np.array([np.abs(_dense_dft(v, p, n)) for p, v in zip(pos, values)])
 
 
 @dataclass(frozen=True)
@@ -105,23 +114,34 @@ def compute_metrics(
     if original.shape != result.time_signal.shape:
         raise ValueError(f"original length {original.size} does not match "
                          f"reconstruction length {result.time_signal.size}")
-    detected = set(int(i) for i in result.detection.positions)
     true = set(_whole(true_support, "true bin", original.size).ravel().tolist())
+    return _metrics(result.detection, result.time_signal, original, true)
+
+
+def _metrics(detection: DetectionResult, time_signal: np.ndarray, original: np.ndarray,
+             true: set) -> Metrics:
+    """:func:`compute_metrics` on checked inputs: ``true`` is the set of true bins."""
+    detected = set(detection.positions.tolist())
     hits = len(detected & true)
     precision = hits / len(detected) if detected else 1.0
     recall = hits / len(true) if true else 1.0
     denom = float(np.sum(np.abs(original) ** 2))
-    err = float(np.sum(np.abs(result.time_signal - original) ** 2))
+    err = float(np.sum(np.abs(time_signal - original) ** 2))
     rel_mse = err / denom if denom > 0.0 else err
     return Metrics(
         support_exact=detected == true,
         precision=precision,
         recall=recall,
         rel_mse_time=rel_mse,
-        threshold=result.detection.threshold,
-        variance=result.detection.variance,
-        n_detected=result.detection.n_detected,
+        threshold=detection.threshold,
+        variance=detection.variance,
+        n_detected=detection.n_detected,
     )
+
+
+# the recovery runner's byte budget: a chunk's (trials, N) complex stacks, and each stacked
+# solve's (items, N_a, K) matrices with their conjugates, stay within it
+_CHUNK_BYTES = _BLOCK_BYTES // 16
 
 
 def run_recovery_trials(
@@ -132,18 +152,70 @@ def run_recovery_trials(
     master_seed: int,
     hardware: bool = False,
 ) -> list[Metrics]:
-    """Reconstruct the same signal under independently drawn patterns."""
+    """Reconstruct the same signal under independently drawn patterns.
+
+    Each trial's metrics have the bits of :func:`compute_metrics` on ``reconstruct`` of that
+    trial's measurement, or on ``reconstruct_hardware`` with ``hardware``, and a run raises
+    the error of the first trial that fails, whichever stage it fails in. The oracle mode's
+    variance and threshold are computed once, the estimate mode's per trial. The trials then
+    run in equal chunks within ``_CHUNK_BYTES``: the comparator on every row of a chunk at
+    once, one stacked solve per detected-bin count, and one inverse DFT.
+    """
     ssa = sum_sq_amplitudes(spec)
     x, _, pos, values = _draws(spec, n_a, trials, master_seed)
+    stage = _fixed_threshold if hardware else _reference_threshold
+    if cfg.amp_mode is AmpMode.ORACLE:
+        var = missing_noise_variance(spec.n, n_a, ssa)
+        levels, failure = [(var, stage(var, spec.n, cfg)[0])] * len(pos), None
+    else:  # each trial's (variance, threshold), up to the first trial that fails here
+        levels, failure = [], None
+        for v in values:
+            try:
+                var = missing_noise_variance(spec.n, n_a, _mean_power(v))
+                levels.append((var, stage(var, spec.n, cfg)[0]))
+            except ValueError as exc:
+                if not levels:
+                    raise
+                failure = exc
+                break
+    true = set(spec.freq_bins.tolist())
+    chunks = -(-len(levels) // max(1, _CHUNK_BYTES // (16 * spec.n)))
+    edges = [len(levels) * i // chunks for i in range(chunks + 1)]
     out = []
-    for p, v in zip(pos, values):
-        meas = Measurement(values=v, pattern=SamplingPattern(n=spec.n, positions=p))
-        if hardware:
-            result, _ = reconstruct_hardware(meas, cfg, ssa)
-        else:
-            result = reconstruct(meas, cfg, ssa)
-        out.append(compute_metrics(result, x, spec.freq_bins))
+    for lo, hi in zip(edges, edges[1:]):
+        out += _recover(x, pos[lo:hi], values[lo:hi], levels[lo:hi], true)
+    if failure is not None:
+        raise failure
     return out
+
+
+def _recover(x, pos, values, levels, true) -> list[Metrics]:
+    """:func:`run_recovery_trials` on one chunk of trials and their (variance, threshold)."""
+    n, n_a = x.size, pos.shape[1]
+    mags = _magnitudes(pos, values, n)
+    thresholds = [t for _, t in levels]
+    if len(set(thresholds)) == 1:  # the oracle mode's one threshold: one comparator pass
+        above = _above(mags, thresholds[0])
+    else:
+        above = np.array([_above(row, t) for row, t in zip(mags, thresholds)])
+    counts = above.sum(axis=1)
+    spectra = np.zeros(mags.shape, dtype=complex)
+    failures = []  # (trial in the chunk, its error)
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        bins = np.nonzero(above[rows])[1].reshape(rows.size, k)
+        step = max(1, _CHUNK_BYTES // (32 * n_a * max(k, 1)))
+        for s in range(0, rows.size, step):
+            r, b = rows[s:s + step], bins[s:s + step]
+            amps, failure = _solve_stack(_twiddles(pos[r], b, n), values[r])
+            if failure is not None:
+                failures.append((r[failure[0]], failure[1]))
+                break
+            spectra[r[:, None], b] = amps
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [_metrics(DetectionResult(t, var, np.flatnonzero(row)), signal, x, true)
+            for row, signal, (var, t) in zip(above, idft(spectra), levels)]
 
 
 @dataclass(frozen=True)

@@ -285,8 +285,13 @@ def build_cs_matrix(n: int, pattern: SamplingPattern, pos: np.ndarray) -> np.nda
     n = int(_whole(n, "signal length"))
     if n != pattern.n:
         raise ValueError(f"signal length {n} does not match pattern length {pattern.n}")
-    pos = _whole(pos, "frequency bin", n)
-    phase = np.outer(pattern.positions, pos)
+    return _twiddles(pattern.positions, _whole(pos, "frequency bin", n).ravel(), n)
+
+
+def _twiddles(positions: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
+    """:func:`build_cs_matrix`'s entries on checked int64 arrays: positions (..., N_a) and bins
+    (..., K) give (..., N_a, K), one matrix per item of a stack."""
+    phase = positions[..., :, None] * bins[..., None, :]
     phase %= n  # in place, sparing a second array of the product's size
     angle = 2 * np.pi * np.arange(n) / n  # real: numpy's complex division rounds twice
     return (np.exp(1j * angle) / n)[phase]
@@ -314,24 +319,44 @@ def ls_solve(a_cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     cond(A) of about 1e7 that the gate still accepts (ROADMAP item 6).
     """
     a_cs = np.asarray(a_cs, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    rows, cols = a_cs.shape
+    x, failure = _solve_stack(a_cs[None], np.asarray(v, dtype=complex)[None])
+    if failure is not None:
+        raise failure[1]
+    return x[0]
+
+
+def _solve_stack(a: np.ndarray, v: np.ndarray):
+    """:func:`ls_solve` on each item of a complex stack: ``a`` (B, rows, cols), ``v`` (B, rows).
+
+    Returns the (B, cols) solutions and None, or None and the index and error of the first
+    item :func:`ls_solve` refuses; an item is refused at the first of its checks it fails.
+    Each item's bits are those of a lone call: numpy runs the same BLAS and LAPACK call on
+    every 2-d item of a stack.
+    """
+    items, rows, cols = a.shape
     if rows < cols:
-        raise UnderdeterminedError(f"{cols} detected bins but only {rows} measurements")
-    if v.shape != (rows,):
-        raise ValueError(f"right-hand side length {v.shape} does not match {rows} rows")
-    ah = hermitian(a_cs)
+        return None, (0, UnderdeterminedError(f"{cols} detected bins but only {rows} measurements"))
+    if v.shape != (items, rows):
+        return None, (0, ValueError(f"right-hand side length {v.shape[1:]} does not match {rows} rows"))
+    ah = a.conj().swapaxes(1, 2)  # each item's hermitian
     with np.errstate(invalid="ignore", over="ignore"):  # reported below
-        gram, rhs = ah @ a_cs, ah @ v
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-        raise ValueError("least-squares system is not finite (NaN, inf or overflow in AᴴA or Aᴴv)")
-    diag = np.abs(np.diag(np.linalg.qr(gram, mode="r")))
-    if diag.size and (diag.max() == 0.0 or diag.min() < 1e-10 * diag.max()):
-        raise SingularSystemError(
-            "normal-equation matrix is numerically singular "
-            f"(diagonal spread {diag.min():.3e} / {diag.max():.3e})"
-        )
-    return np.linalg.solve(gram, rhs)
+        gram, rhs = ah @ a, ah @ v[:, :, None]
+    finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    gated = int(finite.argmin()) if not finite.all() else items  # items before the first non-finite
+    if cols and gated:
+        diag = np.abs(np.diagonal(np.linalg.qr(gram[:gated], mode="r"), axis1=1, axis2=2))
+        top, low = diag.max(axis=1), diag.min(axis=1)
+        singular = (top == 0.0) | (low < 1e-10 * top)
+        if singular.any():
+            i = int(singular.argmax())
+            return None, (i, SingularSystemError(
+                "normal-equation matrix is numerically singular "
+                f"(diagonal spread {low[i]:.3e} / {top[i]:.3e})"
+            ))
+    if gated < items:
+        return None, (gated, ValueError(
+            "least-squares system is not finite (NaN, inf or overflow in AᴴA or Aᴴv)"))
+    return np.linalg.solve(gram, rhs)[:, :, 0], None
 
 
 def idft(x_spec: np.ndarray) -> np.ndarray:

@@ -227,8 +227,13 @@ def estimate_sum_sq_amplitudes(meas: Measurement) -> float:
     For distinct-bin tones the cross terms average out, so the mean of
     ``|v|**2`` over the available samples approaches the oracle value.
     """
+    return _mean_power(meas.values)
+
+
+def _mean_power(values: np.ndarray) -> float:
+    """The mean of ``|values|**2``: the estimate on a checked row of samples."""
     with np.errstate(over="ignore"):  # missing_noise_variance rejects inf by name
-        return float(np.mean(np.abs(meas.values) ** 2))
+        return float(np.mean(np.abs(values) ** 2))
 
 
 def write_signal_csv(path, samples: np.ndarray) -> None:

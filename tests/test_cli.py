@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import csrecon
+from csrecon import cli
 from csrecon.cli import main
 from csrecon.recon_core import idft
 from csrecon.signal_model import read_signal_csv
@@ -456,3 +457,16 @@ def test_console_entry_point(tmp_path):
     )
     assert bad.returncode == 2
     assert "error" in bad.stderr
+
+
+def test_main_builds_one_parser_and_runs_the_command_bound_now(monkeypatch, tmp_path):
+    built, ran = [], []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    assert run("dump-lut", "--out", str(tmp_path / "lut.csv")) == 0
+    # the benchmark's spans rebind cmd_* after the parser exists; main must run the rebound one
+    monkeypatch.setattr(cli, "cmd_recon", lambda args: ran.append(args.infile) or 0)
+    assert run("recon", "--in", "a.csv", "--na", "4", "--p", "0.9", "--seed", "1",
+               "--out", "unused") == 0
+    assert built == [1]
+    assert ran == ["a.csv"]

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csrecon import montecarlo
 from csrecon.hw_datapath import reconstruct_hardware, threshold_fixed
 from csrecon.montecarlo import (
     CalibrationResult,
@@ -19,6 +22,7 @@ from csrecon.montecarlo import (
     run_variance_calibration,
 )
 from csrecon.recon_core import (
+    AmpMode,
     ThresholdConfig,
     detect_positions,
     initial_dft,
@@ -293,12 +297,59 @@ def _sweeps(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_sweeps(), st.booleans())
+@given(_sweeps(), st.booleans(), st.sampled_from(AmpMode))
 # full sampling: threshold 0, so the 1e-9 dust floor decides every row
-@example((SparseSpec(n=64, components=[(1.0, 7)]), 64, ThresholdConfig(p=0.99), 6, 2), False)
-@example((SparseSpec(n=2, components=[(1.0, 1)]), 1, ThresholdConfig(p=0.9), 3, 0), True)
-def test_runners_equal_the_per_trial_path(sweep, hardware):
+@example((SparseSpec(n=64, components=[(1.0, 7)]), 64, ThresholdConfig(p=0.99), 6, 2), False,
+         AmpMode.ORACLE)
+@example((SparseSpec(n=2, components=[(1.0, 1)]), 1, ThresholdConfig(p=0.9), 3, 0), True,
+         AmpMode.ESTIMATE)
+# trial 3 detects 6 bins from 3 samples, trial 5 fewer bins on a singular system: the run
+# raises trial 3's error, not that of the smaller system solved first
+@example((SparseSpec(n=18, components=[(1.0, 14), (1.0, 5)]), 3, ThresholdConfig(p=0.5), 6, 600),
+         False, AmpMode.ORACLE)
+def test_runners_equal_the_per_trial_path(sweep, hardware, amp_mode):
     assert run_variance_calibration(*sweep) == _calibration_per_trial(*sweep)
     assert run_threshold_xcheck(*sweep) == _xcheck_per_trial(*sweep)
-    assert (_outcome(run_recovery_trials, *sweep, hardware)
-            == _outcome(_recovery_per_trial, *sweep, hardware))
+    spec, n_a, cfg, trials, seed = sweep
+    recovery = spec, n_a, dataclasses.replace(cfg, amp_mode=amp_mode), trials, seed, hardware
+    assert _outcome(run_recovery_trials, *recovery) == _outcome(_recovery_per_trial, *recovery)
+
+
+# 8e152-amplitude tones: the estimated threshold first overflows at trial 4 (seed 2), 0 (seed 3)
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("hardware", [False, True])
+def test_estimated_threshold_failure_is_raised_at_its_trial(seed, hardware):
+    spec = SparseSpec(n=16, components=[(8e152, 3), (8e152, 7)])
+    cfg = ThresholdConfig(p=1 - 1e-12, amp_mode="estimate")
+    got = _outcome(run_recovery_trials, spec, 4, cfg, 6, seed, hardware)
+    assert got == _outcome(_recovery_per_trial, spec, 4, cfg, 6, seed, hardware)
+    assert got[1].startswith("threshold overflows")
+
+
+@pytest.mark.parametrize("hardware, amp_mode", [(False, "oracle"), (True, "oracle"),
+                                                 (True, "estimate")])
+def test_recovery_run_over_several_chunks_equals_the_per_trial_path(hardware, amp_mode):
+    spec = SparseSpec(n=256, components=[(1.0, 10), (0.5, 60), (2.0, 201)])
+    cfg = ThresholdConfig(p=0.9, amp_mode=amp_mode)
+    assert 200 > 2 * (montecarlo._CHUNK_BYTES // (16 * spec.n))  # three chunks or more
+    got = run_recovery_trials(spec, 96, cfg, 200, 11, hardware)
+    assert got == _recovery_per_trial(spec, 96, cfg, 200, 11, hardware)
+    assert len({m.n_detected for m in got}) > 1  # several solve stacks per chunk
+
+
+def test_recovery_peak_memory_stays_within_calibrations():
+    spec = SparseSpec(n=256, components=[(1.0, 10), (1.0, 60), (1.0, 201)])
+    cfg = ThresholdConfig(p=0.99)
+    run_variance_calibration(spec, 128, cfg, 2, 7)  # both runs then gather from the kept kernel
+
+    def peak(run, *args):
+        tracemalloc.start()
+        try:
+            run(spec, 128, cfg, 200, 7, *args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    calibration = peak(run_variance_calibration)
+    for hardware in (False, True):
+        assert peak(run_recovery_trials, hardware) <= calibration

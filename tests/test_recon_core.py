@@ -652,6 +652,64 @@ class TestLsSolve:
             ls_solve(a, v)
 
 
+class TestStackedCores:
+    """The Monte-Carlo runner solves stacks of systems; each item must get a lone call's result."""
+
+    @staticmethod
+    def _outcome(a, v):
+        try:
+            return ls_solve(a, v)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_solve_stack_equals_ls_solve_on_each_item(self, data):
+        items = data.draw(st.integers(1, 5), label="items")
+        rows = data.draw(st.integers(1, 24), label="rows")
+        cols = data.draw(st.integers(0, rows + 1), label="cols")  # rows + 1: underdetermined
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+        a = rng.normal(size=(items, rows, cols)) + 1j * rng.normal(size=(items, rows, cols))
+        v = rng.normal(size=(items, rows)) + 1j * rng.normal(size=(items, rows))
+        for i in range(items):
+            fault = data.draw(st.sampled_from(["none", "none", "singular", "nan", "inf"]))
+            if fault == "singular" and cols:
+                a[i, :, -1] = a[i, :, 0] if cols > 1 else 0.0
+            elif fault == "nan" and cols:
+                a[i, rng.integers(rows), rng.integers(cols)] = np.nan
+            elif fault == "inf":
+                v[i, rng.integers(rows)] = np.inf
+        x, failure = recon_core._solve_stack(a, v)
+        outcomes = [self._outcome(a[i], v[i]) for i in range(items)]
+        failed = [i for i, o in enumerate(outcomes) if isinstance(o, tuple)]
+        if failed:
+            assert x is None
+            i, exc = failure
+            assert i == failed[0]
+            assert (type(exc), str(exc)) == outcomes[i]
+            return
+        assert failure is None and x.shape == (items, cols)
+        for i, lone in enumerate(outcomes):
+            ah = hermitian(a[i])
+            assert x[i].tobytes() == lone.tobytes()
+            assert lone.tobytes() == np.linalg.solve(ah @ a[i], ah @ v[i]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_twiddles_equal_build_cs_matrix_on_each_item(self, data):
+        n = data.draw(st.integers(2, 512), label="n")
+        items = data.draw(st.integers(1, 4), label="items")
+        n_a = data.draw(st.integers(1, n), label="n_a")
+        k = data.draw(st.integers(0, 8), label="k")
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        patterns = [random_pattern(n, n_a, seed + i) for i in range(items)]
+        bins = np.random.default_rng(seed).integers(0, n, size=(items, k))
+        stack = recon_core._twiddles(np.array([p.positions for p in patterns]), bins, n)
+        assert stack.shape == (items, n_a, k)
+        for i, pattern in enumerate(patterns):
+            assert stack[i].tobytes() == build_cs_matrix(n, pattern, bins[i]).tobytes()
+
+
 class TestSpectralPositioning:
     def test_single_bin(self):
         np.testing.assert_array_equal(
