@@ -7,6 +7,7 @@ workers without changing the outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,13 @@ __all__ = [
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Stable per-trial seed from (master seed, trial index)."""
-    entropy = [int(_whole(master_seed, "master seed", least=0)),
-               int(_whole(trial_index, "trial index", least=0))]
-    seq = np.random.SeedSequence(entropy=entropy)
-    return int(seq.generate_state(1)[0])
+    return _trial_seed(int(_whole(master_seed, "master seed", least=0)),
+                       int(_whole(trial_index, "trial index", least=0)))
+
+
+def _trial_seed(master_seed: int, trial_index: int) -> int:
+    """:func:`derive_trial_seed` on checked ints."""
+    return int(np.random.SeedSequence(entropy=[master_seed, trial_index]).generate_state(1)[0])
 
 
 def _draws(spec: SparseSpec, n_a: int, trials: int, master_seed: int):
@@ -65,8 +69,9 @@ def _draws(spec: SparseSpec, n_a: int, trials: int, master_seed: int):
     n_a = int(_whole(n_a, "available count"))
     if not 1 <= n_a <= x.size:
         raise ValueError(f"available count {n_a} outside [1, {x.size}]")
-    seeds = [derive_trial_seed(master_seed, i)
-             for i in range(int(_whole(trials, "trial count", least=1)))]
+    trials = int(_whole(trials, "trial count", least=1))
+    master_seed = int(_whole(master_seed, "master seed", least=0))
+    seeds = [_trial_seed(master_seed, i) for i in range(trials)]
     pos = np.array([_draw(x.size, n_a, seed) for seed in seeds])
     values = x[pos]
     if not np.isfinite(values).all():
@@ -125,18 +130,29 @@ def _metrics(detection: DetectionResult, time_signal: np.ndarray, original: np.n
     hits = len(detected & true)
     precision = hits / len(detected) if detected else 1.0
     recall = hits / len(true) if true else 1.0
-    denom = float(np.sum(np.abs(original) ** 2))
-    err = float(np.sum(np.abs(time_signal - original) ** 2))
-    rel_mse = err / denom if denom > 0.0 else err
     return Metrics(
         support_exact=detected == true,
         precision=precision,
         recall=recall,
-        rel_mse_time=rel_mse,
+        rel_mse_time=_rel_mse(time_signal, original),
         threshold=detection.threshold,
         variance=detection.variance,
         n_detected=detection.n_detected,
     )
+
+
+def _rel_mse(time_signal: np.ndarray, original: np.ndarray) -> float:
+    """sum |time_signal - original|**2 / sum |original|**2, or the error sum alone for an all-zero
+    original. Where a plain sum overflows, both sums are taken over the signals divided by the
+    peak |original|, so the ratio is finite wherever it is; elsewhere the plain sums stand."""
+    with np.errstate(over="ignore"):  # an overflowing plain sum is redone scaled below
+        denom = float(np.sum(np.abs(original) ** 2))
+        err = float(np.sum(np.abs(time_signal - original) ** 2))
+        if not (math.isfinite(denom) and math.isfinite(err)) and original.any():
+            peak = np.abs(original).max()
+            denom = float(np.sum(np.abs(original / peak) ** 2))
+            err = float(np.sum(np.abs((time_signal - original) / peak) ** 2))
+    return err / denom if denom > 0.0 else err
 
 
 # the recovery runner's byte budget: a chunk's (trials, N) complex stacks, and each stacked

@@ -7,13 +7,17 @@ small least-squares system on a partial DFT matrix to recover the exact
 amplitudes at the detected bins. The zero-filled spectrum is then inverted
 back to the time domain. Apart from the two CSV writers at the end, everything
 here is a pure function but for one memo that changes no bit: the initial DFT
-keeps the kernel of a repeated length N <= 512, at most 4 MiB. The fixed-point
+keeps the kernel of a repeated length N <= 512, at most 4 MiB. An initial DFT of
+more than one 4 MiB block builds its blocks on up to one thread per usable CPU,
+all joined before it returns, with the bits of one thread. The fixed-point
 counterpart of the threshold stage lives in :mod:`csrecon.hw_datapath`.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -156,6 +160,13 @@ def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     block of two rows or more; numpy sends one row to its dot, which sums otherwise. So the bits
     match while N_a <= 87381, where every block has three rows or more; past it, up to 1e-14 off.
 
+    A call that needs more than one block splits its rows into equal ranges, one per usable CPU
+    up to the block count, and fills the first range on the calling thread and each other on a
+    thread of its own, each from its own equal slice of the same buffer, in equal blocks as
+    above. Threads are used only while each slice holds three rows or more, so no block falls to
+    one row and every bit is that of one thread. They end before the call returns, and a
+    worker's error is raised in the caller.
+
     The second call in a row at an n whose n×n kernel fits one block (n <= 512) builds and keeps
     that kernel, read-only, in place of any other; each call at that n then gathers its columns
     into the block the loop would build, from the same k·p by the same steps in the same layout,
@@ -171,13 +182,54 @@ def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
         return np.take(kernel, positions, axis=1) @ values
     positions = np.asarray(positions, dtype=complex)
     blocks = -(-n // max(1, _BLOCK_BYTES // (16 * len(positions))))
-    edges = [n * i // blocks for i in range(blocks + 1)]
     buf = np.empty((-(-n // blocks), len(positions)), dtype=complex)
     spectrum = np.empty(n, dtype=complex)
-    for lo, hi in zip(edges, edges[1:]):
-        block = _kernel_rows(buf[:hi - lo], np.arange(lo, hi, dtype=complex), positions, n)
-        np.matmul(block, values, out=spectrum[lo:hi])
+    workers = min(_usable_cpus(), blocks) if blocks > 1 else 1
+    if workers < 2 or len(buf) // workers < 3:
+        _fill_rows(spectrum, 0, n, buf, values, positions)
+        return spectrum
+    edges = [n * i // workers for i in range(workers + 1)]
+    slices = np.split(buf[:len(buf) // workers * workers], workers)
+    errors = []
+
+    def fill(lo: int, hi: int, part: np.ndarray) -> None:
+        try:
+            _fill_rows(spectrum, lo, hi, part, values, positions)
+        except Exception as exc:  # raised in the caller once every thread has ended
+            errors.append(exc)
+
+    jobs = list(zip(edges, edges[1:], slices))
+    threads = [threading.Thread(target=fill, args=job) for job in jobs[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        fill(*jobs[0])  # the first range on the calling thread
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if errors:
+        raise errors[0]
     return spectrum
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fill_rows(spectrum: np.ndarray, lo: int, hi: int, buf: np.ndarray, values: np.ndarray,
+               positions: np.ndarray) -> None:
+    """Bins ``lo:hi`` of ``spectrum``, from equal blocks of at most ``len(buf)`` kernel rows
+    built in ``buf``; ``positions`` complex."""
+    n, blocks = len(spectrum), -(-(hi - lo) // len(buf))
+    edges = [lo + (hi - lo) * i // blocks for i in range(blocks + 1)]
+    for a, b in zip(edges, edges[1:]):
+        block = _kernel_rows(buf[:b - a], np.arange(a, b, dtype=complex), positions, n)
+        np.matmul(block, values, out=spectrum[a:b])
 
 
 def _kernel_rows(out: np.ndarray, rows: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:

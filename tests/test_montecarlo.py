@@ -23,6 +23,7 @@ from csrecon.montecarlo import (
 )
 from csrecon.recon_core import (
     AmpMode,
+    ReconstructionResult,
     ThresholdConfig,
     detect_positions,
     initial_dft,
@@ -108,6 +109,17 @@ class TestComputeMetrics:
         _, x, res = self._result()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             compute_metrics(res, x, truth)
+
+    def test_relative_error_past_the_largest_double(self):
+        spec, x, res = self._result()
+        scale = 2.0**1000  # exact: the squares' sums overflow, the ratio stays the same
+        big = ReconstructionResult(res.amplitudes * scale, res.spectrum * scale,
+                                   res.time_signal * scale, res.detection)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = compute_metrics(big, x * scale, spec.freq_bins).rel_mse_time
+        assert got == pytest.approx(compute_metrics(res, x, spec.freq_bins).rel_mse_time,
+                                    rel=1e-12)
 
     def test_exactness_iff_unit_precision_and_recall(self):
         rng = np.random.default_rng(0)
@@ -223,6 +235,24 @@ def test_overflowing_amplitude_power_is_named_without_warnings():
         for run in (run_recovery_trials, run_variance_calibration, run_threshold_xcheck):
             with pytest.raises(ValueError, match="^sum of squared amplitudes must be finite"):
                 run(spec, 64, ThresholdConfig(p=0.9), 3, master_seed=7)
+
+
+# signals whose sum of |x|**2 passes the largest double, though the error ratio does not
+@pytest.mark.parametrize("spec, n_a, cfg, exact", [
+    # the paper's form, linear in the variance, puts T above every bin: all of x is error
+    (SparseSpec(n=256, components=[(1e153, 10)]), 128, ThresholdConfig(p=0.99, variant="paper"),
+     False),
+    (SparseSpec(n=16, components=[(5e153, 3)]), 15, ThresholdConfig(p=0.5), True),
+], ids=["nothing-detected", "recovered"])
+@pytest.mark.parametrize("hardware", [False, True])
+def test_recovery_error_of_huge_signals_is_finite(spec, n_a, cfg, exact, hardware):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_recovery_trials(spec, n_a, cfg, 3, 7, hardware)
+        assert got == _recovery_per_trial(spec, n_a, cfg, 3, 7, hardware)
+    for m in got:
+        assert m.support_exact == exact
+        assert m.rel_mse_time < 1e-30 if exact else m.rel_mse_time == 1.0
 
 
 def _per_trial(spec, n_a, trials, master_seed):

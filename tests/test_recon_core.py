@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,109 @@ class TestInitialDft:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+def _recording_kernel_rows(monkeypatch, fail_at=None):
+    """Patch ``_kernel_rows`` to record each block's thread and row count, and to raise
+    ``LookupError`` on the block that starts at row ``fail_at``."""
+    blocks, build = [], recon_core._kernel_rows
+
+    def record(out, rows, positions, n):
+        blocks.append((threading.get_ident(), len(out)))
+        if rows[0] == fail_at:
+            raise LookupError(f"block at row {fail_at}")
+        return build(out, rows, positions, n)
+
+    monkeypatch.setattr(recon_core, "_kernel_rows", record)
+    return blocks
+
+
+class TestThreadedBlocks:
+    @pytest.mark.parametrize("n, n_a", [
+        (1024, 512),  # two 4 MiB blocks
+        (3000, 1000),  # 12 blocks of 250 rows, three uneven worker ranges
+        (2049, 2048),  # 128-row blocks would leave the last one a row short
+    ])
+    def test_same_bits_and_one_block_of_memory_for_any_worker_count(self, monkeypatch, n, n_a):
+        rng = np.random.default_rng(n)
+        positions = np.sort(rng.permutation(n)[:n_a])
+        values = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
+        want = one_shot_initial_dft(values, positions, n).tobytes()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(recon_core, "_usable_cpus", lambda: workers)
+            tracemalloc.start()
+            try:
+                got = recon_core._dense_dft(values, positions, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == want, workers
+            # the workers share one buffer of at most _BLOCK_BYTES
+            assert peak < recon_core._BLOCK_BYTES + (1 << 20), workers
+
+    @pytest.mark.parametrize("workers, rows, threaded", [
+        (2, 6, True), (2, 5, False),  # a 2-worker slice of a 6-row buffer has 3 rows
+        (3, 9, True), (3, 8, False),
+        (1, 64, False),
+    ])
+    def test_threads_only_while_each_slice_has_three_rows(self, monkeypatch, workers, rows,
+                                                          threaded):
+        n, n_a = 72, 40
+        monkeypatch.setattr(recon_core, "_kernel", None)
+        monkeypatch.setattr(recon_core, "_BLOCK_BYTES", 16 * n_a * rows)
+        monkeypatch.setattr(recon_core, "_usable_cpus", lambda: workers)
+        blocks = _recording_kernel_rows(monkeypatch)
+        meas = sample(np.exp(2j * np.pi * np.random.default_rng(rows).random(n)),
+                      random_pattern(n, n_a, seed=rows))
+        want = one_shot_initial_dft(meas.values, meas.pattern.positions, n)
+        assert initial_dft(meas).tobytes() == want.tobytes()
+        # threaded: the caller fills the first range and another thread the rest
+        on_caller = {ident == threading.get_ident() for ident, _ in blocks}
+        assert on_caller == ({True, False} if threaded else {True})
+        assert all(2 <= height <= (rows // workers if threaded else rows) for _, height in blocks)
+
+    def test_a_workers_error_reaches_the_caller_and_no_thread_outlives_the_call(self,
+                                                                                monkeypatch):
+        n, n_a = 96, 40
+        monkeypatch.setattr(recon_core, "_kernel", None)
+        monkeypatch.setattr(recon_core, "_BLOCK_BYTES", 16 * n_a * 8)
+        monkeypatch.setattr(recon_core, "_usable_cpus", lambda: 2)
+        blocks = _recording_kernel_rows(monkeypatch, fail_at=60)  # in the second range's rows
+        meas = sample(np.ones(n, dtype=complex), random_pattern(n, n_a, seed=1))
+        before = threading.active_count()
+        with pytest.raises(LookupError, match="^block at row 60$"):
+            initial_dft(meas)
+        assert threading.active_count() == before
+        assert len({ident for ident, _ in blocks}) == 2
+
+    def test_threads_started_before_a_failed_start_are_joined(self, monkeypatch):
+        n, n_a = 96, 40
+        monkeypatch.setattr(recon_core, "_kernel", None)
+        monkeypatch.setattr(recon_core, "_BLOCK_BYTES", 16 * n_a * 9)
+        monkeypatch.setattr(recon_core, "_usable_cpus", lambda: 3)
+        started = []
+
+        class SecondStartFails(threading.Thread):
+            def start(self):
+                if len(started) == 1:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(recon_core.threading, "Thread", SecondStartFails)
+        build = recon_core._kernel_rows
+
+        def slow(out, rows, positions, n):  # keeps the started thread busy past the raise
+            time.sleep(0.01)
+            return build(out, rows, positions, n)
+
+        monkeypatch.setattr(recon_core, "_kernel_rows", slow)
+        meas = sample(np.ones(n, dtype=complex), random_pattern(n, n_a, seed=1))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            initial_dft(meas)
+        assert threading.active_count() == before
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 class TestMissingNoiseVariance:
