@@ -8,8 +8,8 @@ amplitudes at the detected bins. The zero-filled spectrum is then inverted
 back to the time domain. Apart from the two CSV writers at the end, everything
 here is a pure function but for one memo that changes no bit: the initial DFT
 keeps the kernel of a repeated length N <= 512, at most 4 MiB. An initial DFT of
-more than one 4 MiB block builds its blocks on up to one thread per usable CPU,
-all joined before it returns, with the bits of one thread. The fixed-point
+more than one 4 MiB block builds its blocks on one thread per usable CPU, at most
+four, all joined before it returns, with the bits of one thread. The fixed-point
 counterpart of the threshold stage lives in :mod:`csrecon.hw_datapath`.
 """
 
@@ -152,6 +152,11 @@ _BLOCK_BYTES = 4 << 20
 _last_n = 0
 _kernel = None
 
+# a thread holds numpy's 256 KiB of ufunc buffers while it forms a block's phases, so four
+# threads keep the peak within 768 KiB of one thread's whatever the host, and bound the threads
+# that callers already running in parallel start
+_MAX_WORKERS = 4
+
 
 def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run:
@@ -161,9 +166,9 @@ def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     match while N_a <= 87381, where every block has three rows or more; past it, up to 1e-14 off.
 
     A call that needs more than one block splits its rows into equal ranges, one per usable CPU
-    up to the block count, and fills the first range on the calling thread and each other on a
-    thread of its own, each from its own equal slice of the same buffer, in equal blocks as
-    above. Threads are used only while each slice holds three rows or more, so no block falls to
+    up to the block count and ``_MAX_WORKERS``, and fills the first range on the calling thread
+    and each other on a thread of its own, each from its own equal slice of the same buffer, in
+    equal blocks as above. Threads are used only while each slice holds three rows or more, so no block falls to
     one row and every bit is that of one thread. They end before the call returns, and a
     worker's error is raised in the caller.
 
@@ -184,7 +189,7 @@ def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     blocks = -(-n // max(1, _BLOCK_BYTES // (16 * len(positions))))
     buf = np.empty((-(-n // blocks), len(positions)), dtype=complex)
     spectrum = np.empty(n, dtype=complex)
-    workers = min(_usable_cpus(), blocks) if blocks > 1 else 1
+    workers = min(_usable_cpus(), blocks, _MAX_WORKERS)
     if workers < 2 or len(buf) // workers < 3:
         _fill_rows(spectrum, 0, n, buf, values, positions)
         return spectrum

@@ -311,6 +311,26 @@ class TestThreadedBlocks:
         assert threading.active_count() == before
         assert len(started) == 1 and not started[0].is_alive()
 
+    def test_memory_is_bounded_by_the_worker_cap_not_by_the_host(self, monkeypatch):
+        # 4096×2048 is 32 blocks: a host with a CPU per block still runs at most _MAX_WORKERS
+        n, n_a = 4096, 2048
+        meas = sample(np.ones(n, dtype=complex), random_pattern(n, n_a, seed=3))
+        peaks = {}
+        for cpus in (1, 32):
+            monkeypatch.setattr(recon_core, "_usable_cpus", lambda: cpus)
+            blocks = _recording_kernel_rows(monkeypatch)
+            tracemalloc.start()
+            try:
+                initial_dft(meas)
+                _, peaks[cpus] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            monkeypatch.undo()
+        assert 2 <= len({ident for ident, _ in blocks}) <= recon_core._MAX_WORKERS
+        # each thread past the first adds numpy's 256 KiB of ufunc buffers
+        assert peaks[32] < peaks[1] + (1 << 20)
+        assert peaks[32] < 8 << 20
+
 
 class TestMissingNoiseVariance:
     def test_no_missing_samples(self):
