@@ -168,9 +168,9 @@ def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     A call that needs more than one block splits its rows into equal ranges, one per usable CPU
     up to the block count and ``_MAX_WORKERS``, and fills the first range on the calling thread
     and each other on a thread of its own, each from its own equal slice of the same buffer, in
-    equal blocks as above. Threads are used only while each slice holds three rows or more, so no block falls to
-    one row and every bit is that of one thread. They end before the call returns, and a
-    worker's error is raised in the caller.
+    equal blocks as above. Threads are used only while each slice holds three rows or more, so
+    no block falls to one row and every bit is that of one thread. They end before the call
+    returns, and a worker's error is raised in the caller.
 
     The second call in a row at an n whose n×n kernel fits one block (n <= 512) builds and keeps
     that kernel, read-only, in place of any other; each call at that n then gathers its columns
