@@ -2,7 +2,9 @@
 
 Each trial derives its own seed from the master seed and the trial index, so
 results do not depend on execution order and can be distributed across
-workers without changing the outcome.
+workers without changing the outcome. A run draws its trials on the calling
+thread, then takes their |V| rows from one stacked initial DFT, which spreads
+them over the usable CPUs with the bits of one call per trial.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ def _noise_spectra(spec: SparseSpec, n_a: int, cfg: ThresholdConfig, trials: int
 
 
 def _magnitudes(pos: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """The (T, N) stack of |V|, one initial DFT per row of the (T, N_a) positions and values."""
-    return np.array([np.abs(_dense_dft(v, p, n)) for p, v in zip(pos, values)])
+    """The (T, N) stack of |V| from one stacked initial DFT of the (T, N_a) positions and
+    values, spread over the usable CPUs, each row with the bits of a lone call."""
+    return np.abs(_dense_dft(values, pos, n))
 
 
 @dataclass(frozen=True)

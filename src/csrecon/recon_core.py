@@ -7,9 +7,10 @@ small least-squares system on a partial DFT matrix to recover the exact
 amplitudes at the detected bins. The zero-filled spectrum is then inverted
 back to the time domain. Apart from the two CSV writers at the end, everything
 here is a pure function but for one memo that changes no bit: the initial DFT
-keeps the kernel of a repeated length N <= 512, at most 4 MiB. An initial DFT of
-more than one 4 MiB block builds its blocks on one thread per usable CPU, at most
-four, all joined before it returns, with the bits of one thread. The fixed-point
+keeps the kernel of a length N <= 512 that repeats or comes as a stack of trials,
+at most 4 MiB. The initial DFT of a stack of trials, or of one trial of more than
+one 4 MiB block, runs on one thread per usable CPU, at most four, all joined
+before it returns, each row with the bits of a lone call. The fixed-point
 counterpart of the threshold stage lives in :mod:`csrecon.hw_datapath`.
 """
 
@@ -66,8 +67,12 @@ class ThresholdVariant(str, Enum):
     ``ref10``: T = sqrt(-var * ln(1 - P**(1/n)))
 
     The ``ref10`` form matches the exponential tail statistics of the
-    missing-sample noise and is the default; ``paper`` keeps the paper's
-    base-10 form, linear in the variance, available for comparison.
+    missing-sample noise and is the default; only it keeps the confidence
+    promise that all noise bins stay below T with probability p. ``paper``
+    keeps the paper's base-10 form, linear in the variance, for comparison:
+    its T grows with the amplitudes squared, |V| only with the amplitudes: at
+    four unit tones, N=256, N_a=128 and p=0.9 it gives T = 1.85 against
+    ref10's 44.8, and noise bins pass it in every trial (``p_hat`` 0).
     """
 
     PAPER = "paper"
@@ -159,63 +164,73 @@ _MAX_WORKERS = 4
 
 
 def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
-    """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run:
-    ``exp(-2j*pi*outer(k, positions)/n) @ values``, built in place in equal blocks of rows in one
-    buffer of at most ``_BLOCK_BYTES``. k·p is exact, and a bin is the same gemv row sum in any
-    block of two rows or more; numpy sends one row to its dot, which sums otherwise. So the bits
-    match while N_a <= 87381, where every block has three rows or more; past it, up to 1e-14 off.
+    """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run,
+    for one trial's (N_a,) values and positions or a (T, N_a) stack of them, giving (N,) or
+    (T, N): ``exp(-2j*pi*outer(k, positions)/n) @ values`` per trial, built in place in equal
+    blocks of rows in one buffer of at most ``_BLOCK_BYTES``. k·p is exact, and a bin is the same
+    gemv row sum in any block of two rows or more; numpy sends one row to its dot, which sums
+    otherwise. So the bits match while N_a <= 87381, where every block has three rows or more;
+    past it, up to 1e-14 off.
 
-    A call that needs more than one block splits its rows into equal ranges, one per usable CPU
-    up to the block count and ``_MAX_WORKERS``, and fills the first range on the calling thread
-    and each other on a thread of its own, each from its own equal slice of the same buffer, in
-    equal blocks as above. Threads are used only while each slice holds three rows or more, so
-    no block falls to one row and every bit is that of one thread. They end before the call
-    returns, and a worker's error is raised in the caller.
+    The work is split over one thread per usable CPU, at most ``_MAX_WORKERS``: a trial whose
+    kernel fits one block is one unit, and the threads take equal runs of trials, each with its
+    own block-sized slice of the buffer, so no more threads than slices fit; a trial of more than
+    one block splits its rows into equal ranges, and each thread fills its range of every trial
+    from its own equal slice of the buffer, in equal blocks as above, but only while each slice
+    holds three rows or more, so no block falls to one row. The calling thread takes the first
+    share. So every row has the bits of a lone call on one thread. The threads end before the
+    call returns, and a worker's error is raised in the caller.
 
-    The second call in a row at an n whose n×n kernel fits one block (n <= 512) builds and keeps
-    that kernel, read-only, in place of any other; each call at that n then gathers its columns
-    into the block the loop would build, from the same k·p by the same steps in the same layout,
-    so every bit holds. Calls at other lengths run the loop and leave the kernel in place."""
+    A stack of two trials or more, or the second call in a row, at an n whose n×n kernel fits one
+    block (n <= 512) builds and keeps that kernel, read-only, in place of any other; each trial at
+    that n then gathers its columns into the block the loop would build, from the same k·p by the
+    same steps in the same layout, so every bit holds. Calls at other lengths run the loop and
+    leave the kernel in place."""
     global _last_n, _kernel
-    kernel, repeated, _last_n = _kernel, n == _last_n, n
-    if (kernel is None or len(kernel) != n) and repeated and 16 * n * n <= _BLOCK_BYTES:
+    vals, pos = np.atleast_2d(values, positions)
+    trials, n_a = pos.shape
+    kernel, repeated, _last_n = _kernel, n == _last_n or trials > 1, n
+    if kernel is not None and len(kernel) != n:
+        kernel = None
+    if kernel is None and repeated and 16 * n * n <= _BLOCK_BYTES:
         k = np.arange(n, dtype=complex)
         kernel = _kernel_rows(np.empty((n, n), dtype=complex), k, k, n)
         kernel.flags.writeable = False
         _kernel = kernel
-    if kernel is not None and len(kernel) == n:
-        return np.take(kernel, positions, axis=1) @ values
-    positions = np.asarray(positions, dtype=complex)
-    blocks = -(-n // max(1, _BLOCK_BYTES // (16 * len(positions))))
-    buf = np.empty((-(-n // blocks), len(positions)), dtype=complex)
-    spectrum = np.empty(n, dtype=complex)
-    workers = min(_usable_cpus(), blocks, _MAX_WORKERS)
-    if workers < 2 or len(buf) // workers < 3:
-        _fill_rows(spectrum, 0, n, buf, values, positions)
-        return spectrum
-    edges = [n * i // workers for i in range(workers + 1)]
-    slices = np.split(buf[:len(buf) // workers * workers], workers)
+    blocks = 1 if kernel is not None else -(-n // max(1, _BLOCK_BYTES // (16 * n_a)))
+    if blocks == 1:  # equal runs of trials, each thread with a whole block
+        workers = min(_usable_cpus(), trials, _MAX_WORKERS, _BLOCK_BYTES // (16 * n * n_a))
+        jobs = [(trials * i // workers, trials * (i + 1) // workers, 0, n) for i in range(workers)]
+        buf = np.empty((workers, n, n_a), dtype=complex)
+    else:  # equal ranges of every trial's rows
+        rows = -(-n // blocks)
+        workers = min(_usable_cpus(), blocks, _MAX_WORKERS)
+        workers = workers if rows // workers >= 3 else 1
+        jobs = [(0, trials, n * i // workers, n * (i + 1) // workers) for i in range(workers)]
+        buf = np.empty((workers, rows // workers, n_a), dtype=complex)
+    spectra = np.empty((trials, n), dtype=complex)
     errors = []
 
-    def fill(lo: int, hi: int, part: np.ndarray) -> None:
+    def fill(first: int, last: int, lo: int, hi: int, part: np.ndarray) -> None:
         try:
-            _fill_rows(spectrum, lo, hi, part, values, positions)
+            for t in range(first, last):
+                _fill_rows(spectra[t], lo, hi, part, vals[t], pos[t], kernel)
         except Exception as exc:  # raised in the caller once every thread has ended
             errors.append(exc)
 
-    jobs = list(zip(edges, edges[1:], slices))
-    threads = [threading.Thread(target=fill, args=job) for job in jobs[1:]]
+    threads = [threading.Thread(target=fill, args=(*job, part)) for job, part in
+               zip(jobs[1:], buf[1:])]
     try:
         for thread in threads:
             thread.start()
-        fill(*jobs[0])  # the first range on the calling thread
+        fill(*jobs[0], buf[0])  # the first share on the calling thread
     finally:
         for thread in threads:
             if thread.is_alive():
                 thread.join()
     if errors:
         raise errors[0]
-    return spectrum
+    return spectra if np.ndim(values) > 1 else spectra[0]
 
 
 def _usable_cpus() -> int:
@@ -227,10 +242,14 @@ def _usable_cpus() -> int:
 
 
 def _fill_rows(spectrum: np.ndarray, lo: int, hi: int, buf: np.ndarray, values: np.ndarray,
-               positions: np.ndarray) -> None:
-    """Bins ``lo:hi`` of ``spectrum``, from equal blocks of at most ``len(buf)`` kernel rows
-    built in ``buf``; ``positions`` complex."""
-    n, blocks = len(spectrum), -(-(hi - lo) // len(buf))
+               positions: np.ndarray, kernel: np.ndarray | None) -> None:
+    """Bins ``lo:hi`` of one trial's ``spectrum``, from equal blocks of at most ``len(buf)``
+    kernel rows built in ``buf``, or from the one block of all n rows gathered there from the
+    kept ``kernel``; ``positions`` checked, so the gather skips its bounds check."""
+    if kernel is not None:
+        np.matmul(np.take(kernel, positions, axis=1, out=buf, mode="clip"), values, out=spectrum)
+        return
+    n, blocks, positions = len(spectrum), -(-(hi - lo) // len(buf)), positions.astype(complex)
     edges = [lo + (hi - lo) * i // blocks for i in range(blocks + 1)]
     for a, b in zip(edges, edges[1:]):
         block = _kernel_rows(buf[:b - a], np.arange(a, b, dtype=complex), positions, n)
@@ -291,7 +310,9 @@ def _threshold_terms(var: float, ln_u: float, n: int, variant: ThresholdVariant)
 def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
     """Magnitude level separating signal bins from missing-sample noise.
 
-    With confidence ``cfg.p`` all noise bins stay below the returned level.
+    For ``ref10``, with confidence ``cfg.p`` all noise bins stay below the
+    returned level; ``paper``'s level scales with the variance, not with |V|,
+    and keeps no such promise (see :class:`ThresholdVariant`).
     The argument of the square root is nonnegative for every valid input
     because 0 < 1 - p**(1/n) < 1 makes the logarithm negative.
     """

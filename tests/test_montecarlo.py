@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csrecon import montecarlo
+from csrecon import montecarlo, recon_core
 from csrecon.hw_datapath import reconstruct_hardware, threshold_fixed
 from csrecon.montecarlo import (
     CalibrationResult,
@@ -365,6 +366,43 @@ def test_recovery_run_over_several_chunks_equals_the_per_trial_path(hardware, am
     got = run_recovery_trials(spec, 96, cfg, 200, 11, hardware)
     assert got == _recovery_per_trial(spec, 96, cfg, 200, 11, hardware)
     assert len({m.n_detected for m in got}) > 1  # several solve stacks per chunk
+
+
+# runs whose trials' DFTs ran on four threads before the run raised: the estimated threshold
+# overflows at trial 4, and trial 3 detects 6 bins from 3 samples
+@pytest.mark.parametrize("spec, n_a, cfg, trials, seed, message", [
+    (SparseSpec(n=16, components=[(8e152, 3), (8e152, 7)]), 4,
+     ThresholdConfig(p=1 - 1e-12, amp_mode="estimate"), 6, 2, "^threshold overflows"),
+    (SparseSpec(n=18, components=[(1.0, 14), (1.0, 5)]), 3, ThresholdConfig(p=0.5), 6, 600,
+     "^6 detected bins but only 3 measurements$"),
+], ids=["threshold-overflow", "underdetermined"])
+@pytest.mark.parametrize("hardware", [False, True])
+def test_no_thread_outlives_a_failed_recovery_run(monkeypatch, spec, n_a, cfg, trials, seed,
+                                                  message, hardware):
+    monkeypatch.setattr(recon_core, "_usable_cpus", lambda: 4)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=message):
+        run_recovery_trials(spec, n_a, cfg, trials, seed, hardware)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("run", [run_variance_calibration, run_threshold_xcheck,
+                                 run_recovery_trials])
+def test_a_dft_workers_error_ends_the_run_and_no_thread_outlives_it(monkeypatch, run):
+    monkeypatch.setattr(recon_core, "_usable_cpus", lambda: 2)
+    fill = recon_core._fill_rows
+
+    def fail_off_the_caller(*args):
+        if threading.get_ident() != threading.main_thread().ident:
+            raise LookupError("trial on a worker")
+        return fill(*args)
+
+    monkeypatch.setattr(recon_core, "_fill_rows", fail_off_the_caller)
+    spec = SparseSpec(n=64, components=[(1.0, 5), (1.0, 40)])
+    before = threading.active_count()
+    with pytest.raises(LookupError, match="^trial on a worker$"):
+        run(spec, 32, ThresholdConfig(p=0.9), 8, 5)
+    assert threading.active_count() == before
 
 
 def test_recovery_peak_memory_stays_within_calibrations():

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csrecon import recon_core
-from csrecon.hw_datapath import part1_pipeline, reconstruct_hardware, threshold_fixed
+from csrecon.hw_datapath import (_fixed_threshold, part1_pipeline, reconstruct_hardware,
+                                 threshold_fixed)
 from csrecon.montecarlo import run_threshold_xcheck, run_variance_calibration
 from csrecon.recon_core import (
     AmpMode,
@@ -212,6 +213,36 @@ def test_paths_differ_only_in_threshold(n, na_frac, k, seed, p, amp_mode):
             np.testing.assert_array_equal(hw.time_signal, ref.time_signal)
         else:
             assert hw is ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=8, max_value=256),
+    k=st.integers(min_value=1, max_value=4),
+    na_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    p=st.sampled_from([0.5, 0.9, 0.99]),
+    j=st.integers(min_value=-60, max_value=60),
+    amp_mode=st.sampled_from(list(AmpMode)),
+    hardware=st.booleans(),
+)
+def test_ref10_detection_is_unchanged_by_scaling_the_amplitudes_by_a_power_of_two(
+        n, k, na_frac, seed, p, j, amp_mode, hardware):
+    # the signal, |V|, the variance (by 4**j) and T = sqrt(-var*ln u) all scale exactly, so the
+    # comparator sees the same bins; paper's T, linear in the variance, does not scale with |V|
+    rng = np.random.default_rng(seed)
+    bins = rng.permutation(n)[:k].tolist()
+    amps = rng.uniform(0.1, 10.0, size=k).tolist()
+    pattern = random_pattern(n, max(1, min(n, round(na_frac * n))), seed)
+    cfg = ThresholdConfig(p=p, amp_mode=amp_mode)
+    stage = _fixed_threshold if hardware else _reference_threshold
+    detected = []
+    for scale in (1.0, 2.0**j):
+        spec = SparseSpec(n=n, components=[(a * scale, b) for a, b in zip(amps, bins)])
+        detection, _, _ = _detect(sample(synthesize(spec), pattern), cfg,
+                                  sum_sq_amplitudes(spec), stage)
+        detected.append(detection.positions.tobytes())
+    assert detected[0] == detected[1]
 
 
 def test_xcheck_agreement_is_pipeline_agreement():

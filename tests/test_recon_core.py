@@ -332,6 +332,95 @@ class TestThreadedBlocks:
         assert peaks[32] < 8 << 20
 
 
+def _stack(n, n_a, trials, seed):
+    """``trials`` rows of distinct sorted positions in [0, n) and complex values."""
+    rng = np.random.default_rng(seed)
+    positions = np.array([np.sort(rng.permutation(n)[:n_a]) for _ in range(trials)])
+    values = rng.standard_normal((trials, n_a)) + 1j * rng.standard_normal((trials, n_a))
+    return values, positions
+
+
+class TestStackedCalls:
+    @pytest.mark.parametrize("n, n_a", [
+        (256, 128),  # kept kernel, eight 512 KiB gathers to a buffer
+        (512, 496),  # kept kernel whose one gather nearly fills the buffer
+        (700, 300),  # one computed block, not kept
+        (1024, 512),  # two blocks: the threads split every trial's rows
+    ])
+    @pytest.mark.parametrize("trials", [1, 3, 5])  # one, fewer than four workers, indivisible
+    def test_rows_have_the_bits_of_a_lone_call_for_any_worker_count(self, monkeypatch, n, n_a,
+                                                                      trials):
+        values, positions = _stack(n, n_a, trials, seed=n + trials)
+        wants = [one_shot_initial_dft(v, p, n).tobytes() for v, p in zip(values, positions)]
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(recon_core, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(recon_core, "_kernel", None)
+            got = recon_core._dense_dft(values, positions, n)
+            assert got.shape == (trials, n)
+            assert [row.tobytes() for row in got] == wants, workers
+            assert recon_core._dense_dft(values[0], positions[0], n).tobytes() == wants[0]
+
+    def test_a_stack_keeps_the_kernel_at_its_first_call(self, monkeypatch):
+        monkeypatch.setattr(recon_core, "_last_n", 0)
+        monkeypatch.setattr(recon_core, "_kernel", None)
+        values, positions = _stack(96, 40, 2, seed=1)
+        got = recon_core._dense_dft(values, positions, 96)
+        assert recon_core._kernel.shape == (96, 96)
+        for row, v, p in zip(got, values, positions):
+            assert row.tobytes() == one_shot_initial_dft(v, p, 96).tobytes()
+        # a length whose kernel exceeds one block is never kept, stacked or not
+        recon_core._dense_dft(*_stack(513, 40, 2, seed=2), 513)
+        assert recon_core._kernel.shape == (96, 96)
+
+    def test_a_workers_error_reaches_the_caller_and_no_thread_outlives_the_call(self,
+                                                                                monkeypatch):
+        monkeypatch.setattr(recon_core, "_usable_cpus", lambda: 2)
+        trials_on, fill = [], recon_core._fill_rows
+
+        def fail_off_the_caller(*args):
+            trials_on.append(threading.get_ident())
+            if threading.get_ident() != threading.main_thread().ident:
+                raise LookupError("trial on a worker")
+            return fill(*args)
+
+        monkeypatch.setattr(recon_core, "_fill_rows", fail_off_the_caller)
+        values, positions = _stack(256, 128, 4, seed=3)
+        before = threading.active_count()
+        with pytest.raises(LookupError, match="^trial on a worker$"):
+            recon_core._dense_dft(values, positions, 256)
+        assert threading.active_count() == before
+        # the caller's two trials, and the worker's first
+        assert trials_on.count(threading.main_thread().ident) == 2 and len(trials_on) == 3
+
+    @pytest.mark.parametrize("n, n_a, trials, threads", [
+        (256, 128, 600, 3),  # eight gathers fit the buffer; the worker cap allows four
+        (512, 496, 40, 0),  # one gather nearly fills the buffer, so the caller works alone
+    ])
+    def test_threads_and_memory_are_capped_whatever_the_host(self, monkeypatch, n, n_a, trials,
+                                                             threads):
+        values, positions = _stack(n, n_a, trials, seed=4)
+        recon_core._dense_dft(values[:2], positions[:2], n)  # keeps the kernel, untraced
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(recon_core.threading, "Thread", Counted)
+        monkeypatch.setattr(recon_core, "_usable_cpus", lambda: 32)
+        tracemalloc.start()
+        try:
+            got = recon_core._dense_dft(values, positions, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(started) == threads <= recon_core._MAX_WORKERS - 1
+        assert peak < got.nbytes + recon_core._BLOCK_BYTES + (1 << 20)
+        for t in (0, trials // 2, trials - 1):
+            assert got[t].tobytes() == one_shot_initial_dft(values[t], positions[t], n).tobytes()
+
+
 class TestMissingNoiseVariance:
     def test_no_missing_samples(self):
         assert missing_noise_variance(128, 128, 3.0) == 0.0
