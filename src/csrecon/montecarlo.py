@@ -90,13 +90,7 @@ def _noise_spectra(spec: SparseSpec, n_a: int, cfg: ThresholdConfig, trials: int
     var = missing_noise_variance(spec.n, n_a, sum_sq_amplitudes(spec))
     t = threshold(var, spec.n, cfg)
     _, seeds, pos, values = _draws(spec, n_a, trials, master_seed)
-    return var, t, seeds, _magnitudes(pos, values, spec.n)
-
-
-def _magnitudes(pos: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """The (T, N) stack of |V| from one stacked initial DFT of the (T, N_a) positions and
-    values, spread over the usable CPUs, each row with the bits of a lone call."""
-    return np.abs(_dense_dft(values, pos, n))
+    return var, t, seeds, np.abs(_dense_dft(values, pos, spec.n))
 
 
 @dataclass(frozen=True)
@@ -211,7 +205,7 @@ def run_recovery_trials(
 def _recover(x, pos, values, levels, true) -> list[Metrics]:
     """:func:`run_recovery_trials` on one chunk of trials and their (variance, threshold)."""
     n, n_a = x.size, pos.shape[1]
-    mags = _magnitudes(pos, values, n)
+    mags = np.abs(_dense_dft(values, pos, n))
     thresholds = [t for _, t in levels]
     if len(set(thresholds)) == 1:  # the oracle mode's one threshold: one comparator pass
         above = _above(mags, thresholds[0])

@@ -8,10 +8,10 @@ amplitudes at the detected bins. The zero-filled spectrum is then inverted
 back to the time domain. Apart from the two CSV writers at the end, everything
 here is a pure function but for one memo that changes no bit: the initial DFT
 keeps the kernel of a length N <= 512 that repeats or comes as a stack of trials,
-at most 4 MiB. The initial DFT of a stack of trials, or of one trial of more than
-one 4 MiB block, runs on one thread per usable CPU, at most four, all joined
-before it returns, each row with the bits of a lone call. The fixed-point
-counterpart of the threshold stage lives in :mod:`csrecon.hw_datapath`.
+at most 4 MiB. The initial DFT's row blocks, of one trial or a stack, are shared
+out over one thread per usable CPU, at most four, all joined before it returns,
+each row with the bits of a lone call. The fixed-point counterpart of the
+threshold stage lives in :mod:`csrecon.hw_datapath`.
 """
 
 from __future__ import annotations
@@ -166,20 +166,18 @@ _MAX_WORKERS = 4
 def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     """:func:`initial_dft`'s kernel on raw arrays, which the Monte-Carlo runners check per run,
     for one trial's (N_a,) values and positions or a (T, N_a) stack of them, giving (N,) or
-    (T, N): ``exp(-2j*pi*outer(k, positions)/n) @ values`` per trial, built in place in equal
-    blocks of rows in one buffer of at most ``_BLOCK_BYTES``. k·p is exact, and a bin is the same
-    gemv row sum in any block of two rows or more; numpy sends one row to its dot, which sums
+    (T, N): ``exp(-2j*pi*outer(k, positions)/n) @ values`` per trial, built in place in blocks
+    of rows in one buffer of at most ``_BLOCK_BYTES``. k·p is exact, and a bin is the same gemv
+    row sum in any block of two rows or more; numpy sends one row to its dot, which sums
     otherwise. So the bits match while N_a <= 87381, where every block has three rows or more;
     past it, up to 1e-14 off.
 
-    The work is split over one thread per usable CPU, at most ``_MAX_WORKERS``: a trial whose
-    kernel fits one block is one unit, and the threads take equal runs of trials, each with its
-    own block-sized slice of the buffer, so no more threads than slices fit; a trial of more than
-    one block splits its rows into equal ranges, and each thread fills its range of every trial
-    from its own equal slice of the buffer, in equal blocks as above, but only while each slice
-    holds three rows or more, so no block falls to one row. The calling thread takes the first
-    share. So every row has the bits of a lone call on one thread. The threads end before the
-    call returns, and a worker's error is raised in the caller.
+    A trial whose kernel fits the buffer is one block of n rows; a larger one is cut into equal
+    blocks of at most one worker's slice of the buffer, threaded only while a slice holds three
+    rows or more, so no block falls to one row. Every trial's blocks are shared out in equal runs
+    over one thread per usable CPU, at most ``_MAX_WORKERS`` and no more than blocks or slices;
+    the calling thread takes the first. So every row has the bits of a lone call on one thread.
+    The threads end before the call returns, and a worker's error is raised in the caller.
 
     A stack of two trials or more, or the second call in a row, at an n whose n×n kernel fits one
     block (n <= 512) builds and keeps that kernel, read-only, in place of any other; each trial at
@@ -197,33 +195,30 @@ def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
         kernel = _kernel_rows(np.empty((n, n), dtype=complex), k, k, n)
         kernel.flags.writeable = False
         _kernel = kernel
-    blocks = 1 if kernel is not None else -(-n // max(1, _BLOCK_BYTES // (16 * n_a)))
-    if blocks == 1:  # equal runs of trials, each thread with a whole block
-        workers = min(_usable_cpus(), trials, _MAX_WORKERS, _BLOCK_BYTES // (16 * n * n_a))
-        jobs = [(trials * i // workers, trials * (i + 1) // workers, 0, n) for i in range(workers)]
-        buf = np.empty((workers, n, n_a), dtype=complex)
-    else:  # equal ranges of every trial's rows
-        rows = -(-n // blocks)
-        workers = min(_usable_cpus(), blocks, _MAX_WORKERS)
-        workers = workers if rows // workers >= 3 else 1
-        jobs = [(0, trials, n * i // workers, n * (i + 1) // workers) for i in range(workers)]
-        buf = np.empty((workers, rows // workers, n_a), dtype=complex)
+    rows = max(1, _BLOCK_BYTES // (16 * n_a))  # kernel rows the buffer holds
+    workers = min(_usable_cpus(), _MAX_WORKERS)
+    if n <= rows:  # a trial is one block, as a kept kernel's always is
+        height, workers = n, min(workers, trials, rows // n)
+    else:  # equal blocks of at most one worker's slice, if it holds three rows
+        height, workers = (rows // workers, workers) if rows // workers >= 3 else (rows, 1)
+    cuts = -(-n // height)
+    blocks = [(t, n * i // cuts, n * (i + 1) // cuts) for t in range(trials) for i in range(cuts)]
+    buf = np.empty((workers, height, n_a), dtype=complex)
     spectra = np.empty((trials, n), dtype=complex)
     errors = []
 
-    def fill(first: int, last: int, lo: int, hi: int, part: np.ndarray) -> None:
+    def fill(i: int) -> None:  # the i-th of equal runs of blocks, in the i-th slice
         try:
-            for t in range(first, last):
-                _fill_rows(spectra[t], lo, hi, part, vals[t], pos[t], kernel)
+            for t, lo, hi in blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]:
+                _fill_rows(spectra[t], lo, hi, buf[i], vals[t], pos[t], kernel)
         except Exception as exc:  # raised in the caller once every thread has ended
             errors.append(exc)
 
-    threads = [threading.Thread(target=fill, args=(*job, part)) for job, part in
-               zip(jobs[1:], buf[1:])]
+    threads = [threading.Thread(target=fill, args=(i,)) for i in range(1, workers)]
     try:
         for thread in threads:
             thread.start()
-        fill(*jobs[0], buf[0])  # the first share on the calling thread
+        fill(0)  # the first run on the calling thread
     finally:
         for thread in threads:
             if thread.is_alive():
@@ -243,17 +238,16 @@ def _usable_cpus() -> int:
 
 def _fill_rows(spectrum: np.ndarray, lo: int, hi: int, buf: np.ndarray, values: np.ndarray,
                positions: np.ndarray, kernel: np.ndarray | None) -> None:
-    """Bins ``lo:hi`` of one trial's ``spectrum``, from equal blocks of at most ``len(buf)``
-    kernel rows built in ``buf``, or from the one block of all n rows gathered there from the
-    kept ``kernel``; ``positions`` checked, so the gather skips its bounds check."""
+    """Bins ``lo:hi`` of one trial's ``spectrum`` as one block in ``buf``: all n rows gathered
+    from the kept ``kernel``, with ``positions`` checked so the gather skips its bounds check,
+    or rows ``lo:hi`` built by :func:`_kernel_rows`; then one gemv."""
+    block = buf[:hi - lo]
     if kernel is not None:
-        np.matmul(np.take(kernel, positions, axis=1, out=buf, mode="clip"), values, out=spectrum)
-        return
-    n, blocks, positions = len(spectrum), -(-(hi - lo) // len(buf)), positions.astype(complex)
-    edges = [lo + (hi - lo) * i // blocks for i in range(blocks + 1)]
-    for a, b in zip(edges, edges[1:]):
-        block = _kernel_rows(buf[:b - a], np.arange(a, b, dtype=complex), positions, n)
-        np.matmul(block, values, out=spectrum[a:b])
+        np.take(kernel, positions, axis=1, out=block, mode="clip")
+    else:
+        _kernel_rows(block, np.arange(lo, hi, dtype=complex), positions.astype(complex),
+                     len(spectrum))
+    np.matmul(block, values, out=spectrum[lo:hi])
 
 
 def _kernel_rows(out: np.ndarray, rows: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:

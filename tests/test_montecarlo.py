@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import re
 import threading
 import tracemalloc
@@ -155,6 +157,35 @@ def test_variance_calibration_fields():
     assert abs(report.empirical_variance - report.model_variance) <= 0.1 * report.model_variance
     assert 0.0 <= report.p_hat <= 1.0
     assert report.threshold > 0.0
+
+
+# the grid settings whose p_hat falls more than four standard errors below p (see the FOUND
+# line on ref10's threshold grid in CHANGES.md): many tones and nearly every sample
+_REF10_MISSES = {(256, 240, 32, 0.99): "p_hat 0.965 against a bound of 0.977"}
+
+
+def _threshold_grid():
+    for n in (64, 128, 256):
+        for n_a, k, p in itertools.product((n // 8, n // 2, n * 15 // 16), (1, n // 8),
+                                           (0.5, 0.9, 0.99)):
+            miss = _REF10_MISSES.get((n, n_a, k, p))
+            marks = [pytest.mark.xfail(strict=True, reason=f"ref10 misses its promise: {miss}")]
+            yield pytest.param(n, n_a, k, p, marks=marks if miss else [],
+                               id=f"n{n}-na{n_a}-k{k}-p{p}")
+
+
+@pytest.mark.parametrize("n, n_a, k, p", _threshold_grid())
+def test_ref10_keeps_its_promise_and_variance_over_a_grid(n, n_a, k, p):
+    trials = 1000
+    bins = np.random.default_rng(7).choice(n, k, replace=False)
+    spec = SparseSpec(n=n, components=[(1.0, int(b)) for b in bins])
+    report = run_variance_calibration(spec, n_a, ThresholdConfig(p=p), trials, master_seed=7)
+    assert report.p_hat >= p - 4 * math.sqrt(p * (1 - p) / trials)
+    # within four standard errors of the trials' noise power; at K = 1 every trial's noise
+    # power equals the model's, up to rounding
+    se = np.std([t.noise_power_mean for t in report.trials], ddof=1) / math.sqrt(trials)
+    assert abs(report.empirical_variance / report.model_variance - 1) <= max(
+        4 * se / report.model_variance, 1e-12)
 
 
 def test_variance_calibration_full_sampling_vacuous():

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -222,6 +223,39 @@ def _recording_kernel_rows(monkeypatch, fail_at=None):
 
     monkeypatch.setattr(recon_core, "_kernel_rows", record)
     return blocks
+
+
+@pytest.mark.parametrize("n, n_a, trials, calls, built, gathered", [
+    # recon_wide: the caller and one worker each build 32 blocks of 64 rows
+    (4096, 2048, 1, 1, {(True, 64): 32, (False, 64): 32}, {}),
+    # the recon of sweeps, and a stack of three whose second trial spans both threads
+    (1024, 512, 1, 1, {(True, 256): 2, (False, 256): 2}, {}),
+    (1024, 512, 3, 1, {(True, 256): 6, (False, 256): 6}, {}),
+    # a runner of sweeps: the kernel built on the caller, then 100 gathers on each thread
+    (256, 128, 200, 1, {(True, 256): 1}, {True: 100, False: 100}),
+    # recon_dense_spectrum's repeated call: the kernel built and gathered on the caller alone
+    (512, 496, 1, 2, {(True, 512): 1}, {True: 1}),
+])
+def test_benchmark_shapes_keep_their_work_split_on_two_cpus(monkeypatch, n, n_a, trials, calls,
+                                                             built, gathered):
+    monkeypatch.setattr(recon_core, "_last_n", 0)
+    monkeypatch.setattr(recon_core, "_kernel", None)
+    monkeypatch.setattr(recon_core, "_usable_cpus", lambda: 2)
+    values, positions = _stack(n, n_a, trials, seed=n + trials)
+    for _ in range(calls - 1):
+        recon_core._dense_dft(values, positions, n)
+    blocks, gathers, fill = _recording_kernel_rows(monkeypatch), [], recon_core._fill_rows
+
+    def record(*args):  # the last argument is the kept kernel, or None
+        if args[-1] is not None:
+            gathers.append(threading.get_ident())
+        return fill(*args)
+
+    monkeypatch.setattr(recon_core, "_fill_rows", record)
+    recon_core._dense_dft(values, positions, n)
+    caller = threading.get_ident()
+    assert Counter((ident == caller, height) for ident, height in blocks) == built
+    assert Counter(ident == caller for ident in gathers) == gathered
 
 
 class TestThreadedBlocks:

@@ -160,6 +160,11 @@ COMMANDS = (
                     "--out", "wide"]),
     ("recon-wide-hardware", ["recon", "--in", "wide.csv", "--na", "2048", "--p", "0.99",
                              "--seed", "6", "--path", "hardware", "--out", "widehw"]),
+    # N=768, N_a=384: no kernel is kept and a trial's kernel passes 4 MiB, so each of the 101
+    # trials is cut into row blocks, and on two CPUs the threads' runs meet inside trial 50
+    ("calibrate-multi-block", ["calibrate", "--n", "768", "--na", "384", "--tones",
+                               "1@37,2@500", "--p", "0.9", "--trials", "101", "--seed", "3",
+                               "--out", "cmb.csv"]),
 )
 
 
