@@ -12,8 +12,9 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .csvio import fmt, write_csv
-from .hw_datapath import reconstruct_hardware, write_trace_csv
+from .csvio import (fmt, read_signal_csv, write_csv, write_detection_csv, write_signal_csv,
+                    write_spectrum_csv, write_trace_csv)
+from .hw_datapath import reconstruct_hardware
 from .hw_primitives import log_lut_entries
 from .montecarlo import (
     Metrics,
@@ -21,25 +22,9 @@ from .montecarlo import (
     run_threshold_xcheck,
     run_variance_calibration,
 )
-from .recon_core import (
-    AmpMode,
-    SingularSystemError,
-    ThresholdConfig,
-    ThresholdVariant,
-    UnderdeterminedError,
-    reconstruct,
-    write_detection_csv,
-    write_spectrum_csv,
-)
-from .signal_model import (
-    SparseSpec,
-    _whole,
-    random_pattern,
-    read_signal_csv,
-    sample,
-    synthesize,
-    write_signal_csv,
-)
+from .recon_core import (AmpMode, SingularSystemError, ThresholdConfig, ThresholdVariant,
+                         UnderdeterminedError, reconstruct)
+from .signal_model import SparseSpec, _mean_power, _whole, random_pattern, sample, synthesize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,8 +102,7 @@ def cmd_recon(args) -> int:
     true_support = np.flatnonzero(full_mag > 1e-6 * full_mag.max())
     cfg = ThresholdConfig(p=args.p, variant=args.variant, amp_mode=args.amp_mode)
     # full-signal power equals the sum of squared amplitudes for distinct tones
-    with np.errstate(over="ignore"):  # missing_noise_variance rejects inf by name
-        ssa = float(np.mean(np.abs(x) ** 2))
+    ssa = _mean_power(x)
     meas = sample(x, random_pattern(n, args.na, args.seed))
     if args.path == "hardware":
         result, trace = reconstruct_hardware(meas, cfg, ssa)

@@ -5,13 +5,13 @@ original time positions, model the spectral noise caused by the missing
 samples, derive a detection threshold, pick the bins above it, and solve a
 small least-squares system on a partial DFT matrix to recover the exact
 amplitudes at the detected bins. The zero-filled spectrum is then inverted
-back to the time domain. Apart from the two CSV writers at the end, everything
-here is a pure function but for one memo that changes no bit: the initial DFT
-keeps the kernel of a length N <= 512 that repeats or comes as a stack of trials,
-at most 4 MiB. The initial DFT's row blocks, of one trial or a stack, are shared
-out over one thread per usable CPU, at most four, all joined before it returns,
-each row with the bits of a lone call. The fixed-point counterpart of the
-threshold stage lives in :mod:`csrecon.hw_datapath`.
+back to the time domain. Everything here is a pure function but for one memo
+that changes no bit: the initial DFT keeps the kernel of a length N <= 512 that
+repeats or comes as a stack of trials, at most 4 MiB. The initial DFT's row
+blocks, of one trial or a stack, are shared out over one thread per usable CPU,
+at most four, all joined before it returns, each row with the bits of a lone
+call. The fixed-point counterpart of the threshold stage lives in
+:mod:`csrecon.hw_datapath`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_detection_csv, write_spectrum_csv  # noqa: F401  traced by bench/spans.py
 from .signal_model import (Measurement, SamplingPattern, _real, _whole,
                            estimate_sum_sq_amplitudes, spectral_positioning)
 
@@ -47,8 +47,6 @@ __all__ = [
     "spectral_positioning",
     "idft",
     "reconstruct",
-    "write_spectrum_csv",
-    "write_detection_csv",
 ]
 
 
@@ -488,22 +486,3 @@ def reconstruct(
     detection, _, _ = _detect(meas, cfg, sum_sq_amp, _reference_threshold)
     return _solve(meas, detection)
 
-
-def write_spectrum_csv(path, spectrum: np.ndarray) -> None:
-    """Write a spectrum as ``bin,re,im,magnitude`` rows."""
-    spectrum = np.asarray(spectrum, dtype=complex)
-    write_csv(
-        path,
-        ["bin", "re", "im", "magnitude"],
-        ([i, v.real, v.imag, abs(v)] for i, v in enumerate(spectrum)),
-    )
-
-
-def write_detection_csv(path, detection: DetectionResult) -> None:
-    """Write a one-row detection summary; positions are semicolon-separated."""
-    write_csv(
-        path,
-        ["threshold", "variance", "n_detected", "positions"],
-        [[detection.threshold, detection.variance, detection.n_detected,
-          ";".join(str(int(p)) for p in detection.positions)]],
-    )

@@ -7,13 +7,12 @@ the reconstruction pipeline recovers the full spectrum.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from numbers import Complex, Number, Real
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import read_signal_csv  # noqa: F401  traced by bench/spans.py
 
 __all__ = [
     "SparseSpec",
@@ -25,8 +24,6 @@ __all__ = [
     "sample",
     "sum_sq_amplitudes",
     "estimate_sum_sq_amplitudes",
-    "write_signal_csv",
-    "read_signal_csv",
 ]
 
 
@@ -235,42 +232,3 @@ def _mean_power(values: np.ndarray) -> float:
     with np.errstate(over="ignore"):  # missing_noise_variance rejects inf by name
         return float(np.mean(np.abs(values) ** 2))
 
-
-def write_signal_csv(path, samples: np.ndarray) -> None:
-    """Write a complex signal as ``index,re,im`` rows; rejects non-finite samples
-    before the file is opened."""
-    samples = np.asarray(samples, dtype=complex)
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{path}: samples must be finite")
-    write_csv(
-        path,
-        ["index", "re", "im"],
-        ([i, v.real, v.imag] for i, v in enumerate(samples)),
-    )
-
-
-def read_signal_csv(path) -> np.ndarray:
-    """Read a signal written by :func:`write_signal_csv`; errors name the file.
-
-    Each row's index must equal its position, 0 to n-1.
-    """
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["index", "re", "im"]:
-            raise ValueError(f"{path}: expected header 'index,re,im'")
-        for row in reader:
-            try:
-                index, re, im = row
-                if int(index) != len(values):
-                    raise ValueError(f"index {index!r} where {len(values)} was expected")
-                values.append(complex(float(re), float(im)))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    x = np.asarray(values, dtype=complex)
-    if x.size == 0:
-        raise ValueError(f"{path}: no samples after the header")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{path}: samples must be finite")
-    return x

@@ -11,8 +11,8 @@ import pytest
 import csrecon
 from csrecon import cli
 from csrecon.cli import main
+from csrecon.csvio import read_signal_csv
 from csrecon.recon_core import idft
-from csrecon.signal_model import read_signal_csv
 from helpers import exact_tail_probability
 
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csrecon.csvio import write_trace_csv
 from csrecon.hw_datapath import (
     comparator,
     part1_pipeline,
     reconstruct_hardware,
     threshold_fixed,
-    write_trace_csv,
 )
 from csrecon.recon_core import (
     ThresholdConfig,

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from csrecon.csvio import read_signal_csv, write_signal_csv
 from csrecon.signal_model import (
     Measurement,
     _whole,
@@ -15,11 +16,9 @@ from csrecon.signal_model import (
     SparseSpec,
     estimate_sum_sq_amplitudes,
     random_pattern,
-    read_signal_csv,
     sample,
     sum_sq_amplitudes,
     synthesize,
-    write_signal_csv,
 )
 from helpers import reduced_phase_tones
 
