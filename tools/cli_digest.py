@@ -165,6 +165,16 @@ COMMANDS = (
     ("calibrate-multi-block", ["calibrate", "--n", "768", "--na", "384", "--tones",
                                "1@37,2@500", "--p", "0.9", "--trials", "101", "--seed", "3",
                                "--out", "cmb.csv"]),
+    # seeds of 2**32 and above: two-word master entropy for the trial seeds, and the
+    # largest master seed a run accepts
+    ("calibrate-two-word-seed", ["calibrate", "--n", "128", "--na", "64", "--tones", "1@37",
+                                 "--p", "0.9", "--trials", "100", "--seed", "4294967296",
+                                 "--out", "cal2w.csv"]),
+    ("xcheck-largest-seed", ["xcheck", "--n", "256", "--na", "128", "--k", "3", "--p", "0.99",
+                             "--trials", "50", "--seed", "9223372036854775807",
+                             "--out", "xcmax.csv"]),
+    ("recon-two-word-seed", ["recon", "--in", "sig.csv", "--na", "128", "--p", "0.99",
+                             "--seed", "4294967297", "--out", "seed2w"]),
 )
 
 
