@@ -2,9 +2,15 @@
 
 Each trial derives its own seed from the master seed and the trial index, so
 results do not depend on execution order and can be distributed across
-workers without changing the outcome. A run draws its trials on the calling
-thread, then takes their |V| rows from one stacked initial DFT, which spreads
-them over the usable CPUs with the bits of one call per trial.
+workers without changing the outcome. A run seeds and draws all its trials in
+one vectorised pass on the calling thread: a numpy restatement of
+``SeedSequence``'s hash turns the trial indices into the trial seeds and each
+seed into its pattern's ``PCG64`` state, and numpy's own permutation then
+draws each pattern, so the seeds and patterns are those of
+:func:`derive_trial_seed` and :func:`~csrecon.signal_model.random_pattern`
+bit for bit. The run then takes the trials' |V| rows from one stacked initial
+DFT, which spreads them over the usable CPUs with the bits of one call per
+trial.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .recon_core import (
 )
 from .signal_model import (
     SparseSpec,
-    _draw,
     _mean_power,
     _whole,
     sum_sq_amplitudes,
@@ -54,31 +59,101 @@ __all__ = [
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """Stable per-trial seed from (master seed, trial index)."""
-    return _trial_seed(int(_whole(master_seed, "master seed", least=0)),
-                       int(_whole(trial_index, "trial index", least=0)))
+    """Stable per-trial seed from (master seed, trial index); a run derives the same seeds
+    for all its trials at once (``_trial_seeds``)."""
+    entropy = [int(_whole(master_seed, "master seed", least=0)),
+               int(_whole(trial_index, "trial index", least=0))]
+    return int(np.random.SeedSequence(entropy=entropy).generate_state(1)[0])
 
 
-def _trial_seed(master_seed: int, trial_index: int) -> int:
-    """:func:`derive_trial_seed` on checked ints."""
-    return int(np.random.SeedSequence(entropy=[master_seed, trial_index]).generate_state(1)[0])
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): its pool of 4 uint32
+# words, the hash of an entropy word into the pool, the mix of two pool words and the
+# hash of the pool into output words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of SeedSequence's hash: ``value`` (uint32, wrapping) hashed under the hash
+    constant ``const``, and the constant the next step uses."""
+    after = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(after)
+    return value ^ (value >> 16), after
+
+
+def _seed_hash(entropy: list[np.ndarray], words: int) -> list[np.ndarray]:
+    """``SeedSequence(e).generate_state(words)`` for every column ``e`` of ``entropy``: a
+    restatement of numpy's hash on uint32 arrays of one length, one array per entropy word
+    (at most the pool's 4, so the hash's extra-entropy loop never runs; a missing word
+    hashes as 0, as numpy pads) and one per output word. Pinned to numpy through its two
+    callers' tests in ``tests/test_montecarlo.py``."""
+    const, pool = _INIT_A, []
+    for word in entropy + [np.zeros_like(entropy[0])] * (_POOL - len(entropy)):
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * word
+                pool[dst] = mixed ^ (mixed >> 16)
+    const, out = _INIT_B, []
+    for i in range(words):
+        word, const = _hashmix(pool[i % _POOL], const, _MULT_B)
+        out.append(word)
+    return out
+
+
+def _trial_seeds(master_seed: int, trials: int) -> np.ndarray:
+    """``derive_trial_seed(master_seed, i)`` for i in range(trials), as uint32: numpy's
+    entropy words of the master seed (one below 2**32, else low then high) and the index.
+    Pinned to numpy by ``test_run_seeds_equal_derive_trial_seed``."""
+    words = [master_seed & _MASK32, master_seed >> 32] if master_seed >> 32 else [master_seed]
+    entropy = [np.full(trials, w, dtype=np.uint32) for w in words]
+    return _seed_hash(entropy + [np.arange(trials, dtype=np.uint32)], 1)[0]
+
+
+def _patterns(n: int, n_a: int, seeds: np.ndarray) -> np.ndarray:
+    """The (T, n_a) rows ``signal_model._draw(n, n_a, seed)`` for each uint32 seed. Each
+    seed's 8 state words give ``PCG64(seed)``'s state by PCG's set-seq rule, which one reused
+    generator takes through its public ``state`` setter before numpy's own permutation.
+    Pinned to numpy by ``test_restated_draw_equals_draw``."""
+    w = [word.astype(np.uint64) for word in _seed_hash([seeds], 8)]
+    halves = [(w[2 * i] | w[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
+    rng = np.random.default_rng(0)  # its state is replaced before every draw
+    pos = np.empty((seeds.size, n_a), dtype=np.int64)
+    for row, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*halves)):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        pos[row] = rng.permutation(n)[:n_a]
+    return pos
 
 
 def _draws(spec: SparseSpec, n_a: int, trials: int, master_seed: int):
     """The signal, each trial's seed, (T, n_a) positions and the signal there: random_pattern
-    draws, whose rule makes distinct positions in [0, n) once 1 <= n_a <= n is checked."""
-    x = synthesize(spec)
+    draws, whose rule makes distinct positions in [0, n) once 1 <= n_a <= n is checked. The
+    trial count must stay below 2**32, as the trial indices are one uint32 word each."""
     n_a = int(_whole(n_a, "available count"))
-    if not 1 <= n_a <= x.size:
-        raise ValueError(f"available count {n_a} outside [1, {x.size}]")
+    if not 1 <= n_a <= spec.n:
+        raise ValueError(f"available count {n_a} outside [1, {spec.n}]")
     trials = int(_whole(trials, "trial count", least=1))
+    if trials > _MASK32:
+        raise ValueError(f"trial count must be below {_MASK32 + 1}, got {trials}")
     master_seed = int(_whole(master_seed, "master seed", least=0))
-    seeds = [_trial_seed(master_seed, i) for i in range(trials)]
-    pos = np.array([_draw(x.size, n_a, seed) for seed in seeds])
+    seeds = _trial_seeds(master_seed, trials)
+    x = synthesize(spec)
+    pos = _patterns(x.size, n_a, seeds)
     values = x[pos]
     if not np.isfinite(values).all():
         raise ValueError("measurement values must be finite")
-    return x, seeds, pos, values
+    return x, seeds.tolist(), pos, values
 
 
 def _noise_spectra(spec: SparseSpec, n_a: int, cfg: ThresholdConfig, trials: int, master_seed: int):

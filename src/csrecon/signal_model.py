@@ -200,7 +200,8 @@ def random_pattern(n: int, n_a: int, seed: int) -> SamplingPattern:
 
 
 def _draw(n: int, n_a: int, seed: int) -> np.ndarray:
-    """The pattern draw rule: the first ``n_a`` of a seeded permutation of [0, n)."""
+    """The pattern draw rule: the first ``n_a`` of a seeded permutation of [0, n).
+    ``montecarlo._patterns`` draws a run's patterns by this rule, bit for bit."""
     return np.random.default_rng(seed).permutation(n)[:n_a]
 
 

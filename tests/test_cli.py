@@ -392,6 +392,15 @@ class TestXcheck:
         assert capsys.readouterr().err == "error: master seed must be at least 0, got -1\n"
         assert not out.exists()
 
+    def test_trial_count_past_the_index_word_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "xc.csv"
+        code = run("xcheck", "--n", "64", "--na", "32", "--tones", "1@7", "--p", "0.99",
+                   "--trials", str(2**32), "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == ("error: trial count must be below 4294967296, "
+                                           "got 4294967296\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("na", ["0", "257"])
 @pytest.mark.parametrize("command", ["calibrate", "xcheck"])

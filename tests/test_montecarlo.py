@@ -36,6 +36,7 @@ from csrecon.recon_core import (
 )
 from csrecon.signal_model import (
     SparseSpec,
+    _draw,
     random_pattern,
     sample,
     sum_sq_amplitudes,
@@ -67,6 +68,57 @@ def test_trial_seeds_stable_and_distinct():
     seeds = {derive_trial_seed(42, i) for i in range(100)}
     assert len(seeds) == 100
     assert derive_trial_seed(42, 0) != derive_trial_seed(43, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(1, 40))
+# one-word master entropy at 0 and 2**32 - 1, two words from 2**32 up to the largest seed
+@example(0, 40)
+@example(2**32 - 1, 40)
+@example(2**32, 40)
+@example(2**63 - 1, 40)
+def test_run_seeds_equal_derive_trial_seed(master_seed, trials):
+    spec = SparseSpec(n=8, components=[(1.0, 3)])
+    _, seeds, _, _ = montecarlo._draws(spec, 4, trials, master_seed)
+    assert seeds == [derive_trial_seed(master_seed, i) for i in range(trials)]
+
+
+@st.composite
+def _draw_shapes(draw):
+    n = draw(st.integers(1, 4096))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    return n, draw(st.integers(1, n)), seeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(_draw_shapes())
+@example((1, 1, [0]))
+@example((4096, 4096, [0, 2**32 - 1]))
+@example((256, 128, [2**32 - 1, 0, 1]))
+def test_restated_draw_equals_draw(shape):
+    n, n_a, seeds = shape
+    rows = montecarlo._patterns(n, n_a, np.array(seeds, dtype=np.uint32))
+    assert rows.dtype == np.int64 and rows.shape == (len(seeds), n_a)
+    for row, seed in zip(rows, seeds):
+        assert np.array_equal(row, _draw(n, n_a, seed))
+
+
+@pytest.mark.parametrize("run", [run_variance_calibration, run_threshold_xcheck,
+                                 run_recovery_trials])
+def test_a_run_seeds_and_draws_its_trials_in_one_pass(monkeypatch, run):
+    calls = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+    spec = SparseSpec(n=256, components=[(1.0, 10), (1.0, 60), (1.0, 201)])
+    run(spec, 128, ThresholdConfig(p=0.99), 200, 7)
+    assert len(calls) <= 1, calls[:4]
 
 
 class TestComputeMetrics:
@@ -245,8 +297,10 @@ def test_noise_model_sweeps_refuse_estimate_amplitudes(run):
 @pytest.mark.parametrize("n_a, trials, seed, message", [
     (0, 0, -1, "available count 0 outside [1, 64]"),
     (32, 0, -1, "trial count must be at least 1, got 0"),
+    # one uint32 word per trial index: refused before any trial is seeded or drawn
+    (32, 2**32, -1, "trial count must be below 4294967296, got 4294967296"),
     (32, 1, -1, "master seed must be at least 0, got -1"),
-], ids=["available-count", "trial-count", "master-seed"])
+], ids=["available-count", "trial-count", "trial-count-bound", "master-seed"])
 def test_run_inputs_checked_in_order(run, n_a, trials, seed, message):
     spec = SparseSpec(n=64, components=[(1.0, 7)])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
