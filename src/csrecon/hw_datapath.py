@@ -22,11 +22,11 @@ from .recon_core import (
     ReconstructionResult,
     ThresholdConfig,
     ThresholdVariant,
+    _above,
     _detect,
     _solve,
     _tail_probability,
     _threshold_terms,
-    detect_positions,
     initial_dft,  # noqa: F401  bench/tests/test_bench.py checks spans wrap this binding too
     missing_noise_variance,
 )
@@ -112,9 +112,7 @@ def comparator(v_spec: np.ndarray, t: float) -> np.ndarray:
     The pipelines use :func:`~csrecon.recon_core.detect_positions` directly;
     this stays only because the benchmark's span list names it.
     """
-    bits = np.zeros(np.size(v_spec), dtype=np.uint8)
-    bits[detect_positions(v_spec, t)] = 1
-    return bits
+    return _above(np.abs(v_spec), t).astype(np.uint8)
 
 
 def part1_pipeline(

@@ -29,6 +29,7 @@ from .recon_core import (
     ThresholdConfig,
     _above,
     _dense_dft,
+    _levels,
     _reference_threshold,
     _solve_stack,
     _twiddles,
@@ -38,7 +39,6 @@ from .recon_core import (
 )
 from .signal_model import (
     SparseSpec,
-    _mean_power,
     _whole,
     sum_sq_amplitudes,
     synthesize,
@@ -244,28 +244,13 @@ def run_recovery_trials(
 
     Each trial's metrics have the bits of :func:`compute_metrics` on ``reconstruct`` of that
     trial's measurement, or on ``reconstruct_hardware`` with ``hardware``, and a run raises
-    the error of the first trial that fails, whichever stage it fails in. The oracle mode's
-    variance and threshold are computed once, the estimate mode's per trial. The trials then
-    run in equal chunks within ``_CHUNK_BYTES``: the comparator on every row of a chunk at
-    once, one stacked solve per detected-bin count, and one inverse DFT.
+    the error of the first trial that fails, whichever stage it fails in. The trials take their
+    levels from the pipelines' level step, then run in equal chunks within ``_CHUNK_BYTES``,
+    each with one comparator pass, one stacked solve per detected-bin count, one inverse DFT.
     """
-    ssa = sum_sq_amplitudes(spec)
     x, _, pos, values = _draws(spec, n_a, trials, master_seed)
     stage = _fixed_threshold if hardware else _reference_threshold
-    if cfg.amp_mode is AmpMode.ORACLE:
-        var = missing_noise_variance(spec.n, n_a, ssa)
-        levels, failure = [(var, stage(var, spec.n, cfg)[0])] * len(pos), None
-    else:  # each trial's (variance, threshold), up to the first trial that fails here
-        levels, failure = [], None
-        for v in values:
-            try:
-                var = missing_noise_variance(spec.n, n_a, _mean_power(v))
-                levels.append((var, stage(var, spec.n, cfg)[0]))
-            except ValueError as exc:
-                if not levels:
-                    raise
-                failure = exc
-                break
+    levels, failure = _levels(values, spec.n, cfg, sum_sq_amplitudes(spec), stage)
     true = set(spec.freq_bins.tolist())
     chunks = -(-len(levels) // max(1, _CHUNK_BYTES // (16 * spec.n)))
     edges = [len(levels) * i // chunks for i in range(chunks + 1)]
@@ -278,14 +263,10 @@ def run_recovery_trials(
 
 
 def _recover(x, pos, values, levels, true) -> list[Metrics]:
-    """:func:`run_recovery_trials` on one chunk of trials and their (variance, threshold)."""
+    """:func:`run_recovery_trials` on one chunk of trials, against their thresholds' column."""
     n, n_a = x.size, pos.shape[1]
     mags = np.abs(_dense_dft(values, pos, n))
-    thresholds = [t for _, t in levels]
-    if len(set(thresholds)) == 1:  # the oracle mode's one threshold: one comparator pass
-        above = _above(mags, thresholds[0])
-    else:
-        above = np.array([_above(row, t) for row, t in zip(mags, thresholds)])
+    above = _above(mags, np.array([[t] for _, t, _ in levels]))
     counts = above.sum(axis=1)
     spectra = np.zeros(mags.shape, dtype=complex)
     failures = []  # (trial in the chunk, its error)
@@ -303,7 +284,7 @@ def _recover(x, pos, values, levels, true) -> list[Metrics]:
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return [_metrics(DetectionResult(t, var, np.flatnonzero(row)), signal, x, true)
-            for row, signal, (var, t) in zip(above, idft(spectra), levels)]
+            for row, signal, (var, t, _) in zip(above, idft(spectra), levels)]
 
 
 @dataclass(frozen=True)

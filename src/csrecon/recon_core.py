@@ -25,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .csvio import write_detection_csv, write_spectrum_csv  # noqa: F401  traced by bench/spans.py
-from .signal_model import (Measurement, SamplingPattern, _real, _whole,
-                           estimate_sum_sq_amplitudes, spectral_positioning)
+from .signal_model import (Measurement, SamplingPattern, _mean_power, _real, _typed, _whole,
+                           spectral_positioning)
 
 __all__ = [
     "ThresholdVariant",
@@ -318,27 +318,31 @@ def threshold(var: float, n: int, cfg: ThresholdConfig) -> float:
 
 def detect_positions(v_spec: np.ndarray, t: float) -> np.ndarray:
     """The comparator: ascending indices of the bins whose magnitude strictly
-    exceeds :func:`effective_threshold`. ``v_spec`` is the spectrum or |V|."""
-    t = _real(t, "threshold")
-    if not t >= 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
+    exceeds :func:`effective_threshold`, which checks ``t``. ``v_spec`` is the spectrum or |V|."""
     return np.flatnonzero(_above(np.abs(v_spec), t)).astype(np.int64, copy=False)
 
 
-def _above(mags: np.ndarray, t: float) -> np.ndarray:
+def _above(mags: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """The comparator rule on |V|, or on each row of a stack: above its row's level."""
     return mags > effective_threshold(t, mags)
 
 
-def effective_threshold(t: float, v_spec: np.ndarray) -> float | np.ndarray:
+def effective_threshold(t: float | np.ndarray, v_spec: np.ndarray) -> float | np.ndarray:
     """Detection level: ``t`` or 1e-9 of the peak of |``v_spec``|, whichever is larger.
-    A 2-d ``v_spec`` is a stack of spectra and gets one level per row, as a column.
+    A 2-d ``v_spec`` is a stack of spectra and gets one level per row, as a column, from one
+    ``t`` or a (T, 1) column of them; any other shape (numpy would broadcast it into a (T, T)
+    level) is refused, as is a NaN or negative ``t``.
 
     The floor keeps double-precision dust in bins that are zero in exact
     arithmetic from being detected when the modeled threshold is exactly
     zero (no missing samples); above it the floor has no effect.
     """
-    level = np.fmax(_real(t, "threshold"), 1e-9 * np.abs(v_spec).max(axis=-1, initial=0.0, keepdims=True))
+    if np.ndim(t) and (np.ndim(v_spec) != 2 or np.shape(t) != (len(v_spec), 1)):
+        raise ValueError(f"threshold must be a number or a (T, 1) column, got shape {np.shape(t)}")
+    t = _typed(t, "threshold", "a real number").astype(float)
+    if not t.min(initial=0.0) >= 0.0:  # a NaN or a threshold below 0
+        raise ValueError(f"threshold must be nonnegative, got {t.min()}")
+    level = np.fmax(t, 1e-9 * np.abs(v_spec).max(axis=-1, initial=0.0, keepdims=True))
     return level if level.ndim > 1 else float(level[0])
 
 
@@ -439,22 +443,39 @@ def _reference_threshold(var: float, n: int, cfg: ThresholdConfig):
     return threshold(var, n, cfg), None
 
 
+def _levels(values: np.ndarray, n: int, cfg: ThresholdConfig, sum_sq_amp, threshold_stage):
+    """Part 1's level step on a (T, N_a) stack of values: each row's (variance, threshold,
+    record), one for all rows in oracle mode, else each from its row's mean power. The first
+    row's error is raised; a later one is returned with the levels before it, else None."""
+    n_a = values.shape[1]
+    if cfg.amp_mode is AmpMode.ORACLE:
+        if sum_sq_amp is None:
+            raise ValueError("oracle amplitude mode requires sum_sq_amp")
+        var = missing_noise_variance(n, n_a, sum_sq_amp)
+        return [(var, *threshold_stage(var, n, cfg))] * len(values), None
+    levels = []
+    for row in values:
+        try:
+            var = missing_noise_variance(n, n_a, _mean_power(row))
+            levels.append((var, *threshold_stage(var, n, cfg)))
+        except ValueError as exc:
+            if not levels:
+                raise
+            return levels, exc
+    return levels, None
+
+
 def _detect(meas: Measurement, cfg: ThresholdConfig, sum_sq_amp: float | None, threshold_stage):
-    """Part 1 of both pipelines: initial DFT, variance, threshold, comparator.
+    """Part 1 of both pipelines: the level step (:func:`_levels`), initial DFT, comparator.
 
     ``threshold_stage(var, n, cfg)`` is the one stage the two pipelines do
     not share; it returns the threshold and a record of how it was computed.
     Returns the detection, the initial DFT and that record.
     """
-    if cfg.amp_mode is AmpMode.ESTIMATE:
-        sum_sq_amp = estimate_sum_sq_amplitudes(meas)
-    elif sum_sq_amp is None:
-        raise ValueError("oracle amplitude mode requires sum_sq_amp")
-    var = missing_noise_variance(meas.pattern.n, meas.pattern.n_a, sum_sq_amp)
-    t, record = threshold_stage(var, meas.pattern.n, cfg)
+    [(var, t, record)], _ = _levels(meas.values[None], meas.pattern.n, cfg, sum_sq_amp,
+                                    threshold_stage)
     v_spec = initial_dft(meas)  # last: every input is checked before the O(N·N_a) kernel
-    pos = detect_positions(v_spec, t)
-    return DetectionResult(threshold=t, variance=var, positions=pos), v_spec, record
+    return DetectionResult(t, var, detect_positions(v_spec, t)), v_spec, record
 
 
 def _solve(meas: Measurement, detection: DetectionResult) -> ReconstructionResult:

@@ -443,7 +443,7 @@ def test_estimated_threshold_failure_is_raised_at_its_trial(seed, hardware):
 
 
 @pytest.mark.parametrize("hardware, amp_mode", [(False, "oracle"), (True, "oracle"),
-                                                 (True, "estimate")])
+                                                 (False, "estimate"), (True, "estimate")])
 def test_recovery_run_over_several_chunks_equals_the_per_trial_path(hardware, amp_mode):
     spec = SparseSpec(n=256, components=[(1.0, 10), (0.5, 60), (2.0, 201)])
     cfg = ThresholdConfig(p=0.9, amp_mode=amp_mode)

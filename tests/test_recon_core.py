@@ -572,7 +572,12 @@ def test_tail_probability_against_decimal(log10_q, n):
     (lambda: threshold(math.nan, 64, ThresholdConfig(p=0.99)), "variance must be nonnegative, got nan"),
     (lambda: detect_positions(np.array([1.0, 2.0, 3.0]), math.nan),
      "threshold must be nonnegative, got nan"),
-], ids=["threshold", "detect_positions"])
+    (lambda: effective_threshold(math.nan, np.ones(4)), "threshold must be nonnegative, got nan"),
+    (lambda: effective_threshold(-1.0, np.ones(4)), "threshold must be nonnegative, got -1.0"),
+    (lambda: effective_threshold(np.array([[0.5], [math.nan], [1.0]]), np.ones((3, 4))),
+     "threshold must be nonnegative, got nan"),
+], ids=["threshold", "detect_positions", "effective_threshold-nan", "effective_threshold-negative",
+        "effective_threshold-column"])
 def test_nan_at_threshold_stage_boundary_rejected(stage, message):
     # NaN compares false both ways; a `< 0` guard lets it through
     with pytest.raises(ValueError, match=message):
@@ -661,6 +666,28 @@ class TestDetectPositions:
         for r, level, above in zip(mags, levels, _above(mags, t)):
             assert level[0] == effective_threshold(t, r)
             np.testing.assert_array_equal(np.flatnonzero(above), detect_positions(r, t))
+        # the recovery runner's form: a (T, 1) column of one threshold per row
+        ts = np.array(data.draw(st.lists(st.sampled_from([0.0, t]) | st.floats(0.0, 10.0),
+                                         min_size=len(mags), max_size=len(mags))))[:, None]
+        levels = effective_threshold(ts, mags)
+        assert levels.shape == (len(mags), 1)
+        for r, ti, level, above in zip(mags, ts[:, 0], levels, _above(mags, ts)):
+            assert level[0] == effective_threshold(ti, r)
+            np.testing.assert_array_equal(np.flatnonzero(above), detect_positions(r, ti))
+
+    @pytest.mark.parametrize("t, v_spec", [
+        (np.ones(3), np.ones((3, 4))),  # a row, not a column
+        (np.ones((1, 3)), np.ones((3, 4))),
+        (np.ones((3, 3)), np.ones((3, 4))),
+        (np.ones((2, 1)), np.ones((3, 4))),  # one threshold short
+        (np.ones((4, 1)), np.ones(4)),  # a column for one spectrum
+        (np.ones(1), np.ones(4)),
+    ], ids=["row", "row-2d", "square", "short-column", "column-one-spectrum", "one-element"])
+    def test_threshold_of_another_shape_is_refused(self, t, v_spec):
+        # numpy would broadcast a (T,) or (1, T) threshold against the (T, 1) floor into (T, T)
+        message = f"threshold must be a number or a (T, 1) column, got shape {t.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            effective_threshold(t, v_spec)
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     @pytest.mark.parametrize("n", [1, 16])
