@@ -175,6 +175,9 @@ COMMANDS = (
                              "--out", "xcmax.csv"]),
     ("recon-two-word-seed", ["recon", "--in", "sig.csv", "--na", "128", "--p", "0.99",
                              "--seed", "4294967297", "--out", "seed2w"]),
+    # 200 trials at N=256: a run of four 50-trial chunks of (trials, N) spectra
+    ("xcheck-multi-chunk", ["xcheck", "--n", "256", "--na", "128", "--k", "3", "--p", "0.99",
+                            "--trials", "200", "--seed", "11", "--out", "xcmc.csv"]),
 )
 
 
