@@ -8,9 +8,9 @@ one vectorised pass on the calling thread: a numpy restatement of
 seed into its pattern's ``PCG64`` state, and numpy's own permutation then
 draws each pattern, so the seeds and patterns are those of
 :func:`derive_trial_seed` and :func:`~csrecon.signal_model.random_pattern`
-bit for bit. The run then takes the trials' |V| rows from one stacked initial
-DFT, which spreads them over the usable CPUs with the bits of one call per
-trial.
+bit for bit. Every runner then takes the trials' |V| rows in chunks of at most
+``_CHUNK_BYTES`` of spectra, each from one stacked initial DFT spread over the
+usable CPUs with the bits of one call per trial; only the draws grow with T.
 """
 
 from __future__ import annotations
@@ -156,16 +156,30 @@ def _draws(spec: SparseSpec, n_a: int, trials: int, master_seed: int):
     return x, seeds.tolist(), pos, values
 
 
+# the Monte-Carlo runners' byte budget: a chunk's (trials, N) complex stacks, and each stacked
+# solve's (items, N_a, K) matrices with their conjugates, stay within it
+_CHUNK_BYTES = _BLOCK_BYTES // 16
+
+
+def _spectra(pos: np.ndarray, values: np.ndarray, n: int):
+    """The runners' one initial-DFT call site: the (T, n_a) trials in equal chunks whose
+    (trials, n) spectra fit ``_CHUNK_BYTES``, each as its trial slice and stacked |V| rows."""
+    chunks = -(-len(pos) // max(1, _CHUNK_BYTES // (16 * n)))
+    for i in range(chunks):
+        span = slice(len(pos) * i // chunks, len(pos) * (i + 1) // chunks)
+        yield span, np.abs(_dense_dft(values[span], pos[span], n))
+
+
 def _noise_spectra(spec: SparseSpec, n_a: int, cfg: ThresholdConfig, trials: int, master_seed: int):
-    """The noise model's variance and reference threshold, each trial's seed and the (T, N)
-    stack of the trials' |V|; refuses the estimate amplitude mode, which the model cannot honour."""
+    """The noise model's variance and reference threshold, each trial's seed and the trials'
+    |V| in ``_spectra`` chunks; refuses the estimate amplitude mode, as the model cannot honour it."""
     if cfg.amp_mode is not AmpMode.ORACLE:
         raise ValueError("calibration and xcheck need the oracle amplitude mode, "
                          f"got '{cfg.amp_mode.value}'")
     var = missing_noise_variance(spec.n, n_a, sum_sq_amplitudes(spec))
     t = threshold(var, spec.n, cfg)
     _, seeds, pos, values = _draws(spec, n_a, trials, master_seed)
-    return var, t, seeds, np.abs(_dense_dft(values, pos, spec.n))
+    return var, t, seeds, _spectra(pos, values, spec.n)
 
 
 @dataclass(frozen=True)
@@ -227,11 +241,6 @@ def _rel_mse(time_signal: np.ndarray, original: np.ndarray) -> float:
     return err / denom if denom > 0.0 else err
 
 
-# the recovery runner's byte budget: a chunk's (trials, N) complex stacks, and each stacked
-# solve's (items, N_a, K) matrices with their conjugates, stay within it
-_CHUNK_BYTES = _BLOCK_BYTES // 16
-
-
 def run_recovery_trials(
     spec: SparseSpec,
     n_a: int,
@@ -245,27 +254,24 @@ def run_recovery_trials(
     Each trial's metrics have the bits of :func:`compute_metrics` on ``reconstruct`` of that
     trial's measurement, or on ``reconstruct_hardware`` with ``hardware``, and a run raises
     the error of the first trial that fails, whichever stage it fails in. The trials take their
-    levels from the pipelines' level step, then run in equal chunks within ``_CHUNK_BYTES``,
+    levels from the pipelines' level step, then run in the runners' chunks (``_spectra``),
     each with one comparator pass, one stacked solve per detected-bin count, one inverse DFT.
     """
     x, _, pos, values = _draws(spec, n_a, trials, master_seed)
     stage = _fixed_threshold if hardware else _reference_threshold
     levels, failure = _levels(values, spec.n, cfg, sum_sq_amplitudes(spec), stage)
     true = set(spec.freq_bins.tolist())
-    chunks = -(-len(levels) // max(1, _CHUNK_BYTES // (16 * spec.n)))
-    edges = [len(levels) * i // chunks for i in range(chunks + 1)]
     out = []
-    for lo, hi in zip(edges, edges[1:]):
-        out += _recover(x, pos[lo:hi], values[lo:hi], levels[lo:hi], true)
+    for span, mags in _spectra(pos[:len(levels)], values[:len(levels)], spec.n):
+        out += _recover(x, pos[span], values[span], mags, levels[span], true)
     if failure is not None:
         raise failure
     return out
 
 
-def _recover(x, pos, values, levels, true) -> list[Metrics]:
-    """:func:`run_recovery_trials` on one chunk of trials, against their thresholds' column."""
+def _recover(x, pos, values, mags, levels, true) -> list[Metrics]:
+    """:func:`run_recovery_trials` on one chunk of trials and |V| rows, against their thresholds."""
     n, n_a = x.size, pos.shape[1]
-    mags = np.abs(_dense_dft(values, pos, n))
     above = _above(mags, np.array([[t] for _, t, _ in levels]))
     counts = above.sum(axis=1)
     spectra = np.zeros(mags.shape, dtype=complex)
@@ -324,13 +330,15 @@ def run_variance_calibration(
     A trial counts as below the threshold when the pipelines' comparator rule, the
     one :func:`~csrecon.recon_core.detect_positions` applies, flags no noise bin.
     """
-    var, t, seeds, mags = _noise_spectra(spec, n_a, cfg, trials, master_seed)
+    var, t, seeds, chunks = _noise_spectra(spec, n_a, cfg, trials, master_seed)
     noise = np.ones(spec.n, dtype=bool)
     noise[spec.freq_bins] = False
-    all_below = ~(_above(mags, t) & noise).any(axis=1)
-    # row by row: np.mean along an axis sums in another order than on one row
-    rows = [CalibrationTrial(trial, seed, float(np.mean(row**2)), float(row.max()), bool(below))
-            for trial, (seed, row, below) in enumerate(zip(seeds, mags[:, noise], all_below))]
+    rows = []
+    for span, mags in chunks:
+        all_below = ~(_above(mags, t) & noise).any(axis=1)
+        # row by row: np.mean along an axis sums in another order than on one row
+        rows += [CalibrationTrial(i, seeds[i], float(np.mean(row**2)), float(row.max()), bool(b))
+                 for i, (row, b) in enumerate(zip(mags[:, noise], all_below), span.start)]
     return CalibrationResult(
         trials=tuple(rows),
         threshold=t,
@@ -370,11 +378,13 @@ def run_threshold_xcheck(
     master_seed: int,
 ) -> XcheckResult:
     """Compare the pipelines' two threshold stages on one model variance, and the supports they detect."""
-    var, t_ref, seeds, mags = _noise_spectra(spec, n_a, cfg, trials, master_seed)
+    var, t_ref, seeds, chunks = _noise_spectra(spec, n_a, cfg, trials, master_seed)
     t_fix = _fixed_threshold(var, spec.n, cfg)[0]
     rel_err = abs(t_fix - t_ref) / t_ref if t_ref > 0.0 else abs(t_fix)
-    match = (_above(mags, t_ref) == _above(mags, t_fix)).all(axis=1)
-    rows = [XcheckTrial(trial, seed, bool(m)) for trial, (seed, m) in enumerate(zip(seeds, match))]
+    rows = []
+    for span, mags in chunks:
+        match = (_above(mags, t_ref) == _above(mags, t_fix)).all(axis=1)
+        rows += [XcheckTrial(i, seeds[i], bool(m)) for i, m in enumerate(match, span.start)]
     return XcheckResult(
         trials=tuple(rows),
         threshold_ref=t_ref,

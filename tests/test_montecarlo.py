@@ -27,7 +27,9 @@ from csrecon.montecarlo import (
 from csrecon.recon_core import (
     AmpMode,
     ReconstructionResult,
+    SingularSystemError,
     ThresholdConfig,
+    UnderdeterminedError,
     detect_positions,
     initial_dft,
     missing_noise_variance,
@@ -238,6 +240,52 @@ def test_ref10_keeps_its_promise_and_variance_over_a_grid(n, n_a, k, p):
     se = np.std([t.noise_power_mean for t in report.trials], ddof=1) / math.sqrt(trials)
     assert abs(report.empirical_variance / report.model_variance - 1) <= max(
         4 * se / report.model_variance, 1e-12)
+
+
+# the grid runs at N_a = N/8 that raise for the whole run, keyed by (seed, N, N_a, K, p): more
+# bins detected than samples taken, or a singular system on positions too few to tell the
+# detected bins apart (see ROADMAP item 11)
+_RAISING_RUNS = {
+    (7, 64, 8, 1, 0.5): SingularSystemError, (8, 64, 8, 1, 0.5): SingularSystemError,
+    (7, 64, 8, 1, 0.9): SingularSystemError, (8, 64, 8, 1, 0.9): SingularSystemError,
+    (7, 64, 8, 1, 0.99): SingularSystemError, (8, 64, 8, 1, 0.99): SingularSystemError,
+    (7, 64, 8, 8, 0.5): UnderdeterminedError, (8, 64, 8, 8, 0.5): UnderdeterminedError,
+    (7, 64, 8, 8, 0.9): SingularSystemError, (8, 64, 8, 8, 0.9): UnderdeterminedError,
+    (7, 128, 16, 16, 0.5): UnderdeterminedError, (8, 128, 16, 16, 0.5): UnderdeterminedError,
+    (7, 256, 32, 32, 0.5): UnderdeterminedError,
+}
+# the settings whose support_exact rate falls more than four standard errors below p, with
+# every trial still time-exact: ref10's miss near full sampling (ROADMAP item 10)
+_SUPPORT_MISSES = {(256, 240, 32, 0.99): "support_exact 0.968 against a bound of 0.972"}
+
+
+def _recovery_grid():
+    for seed, n in itertools.product((7, 8), (64, 128, 256)):
+        for n_a, k, p in itertools.product((n // 8, n // 2, n * 15 // 16), (1, n // 8),
+                                           (0.5, 0.9, 0.99)):
+            miss = _SUPPORT_MISSES.get((n, n_a, k, p))
+            marks = [pytest.mark.xfail(strict=True, reason=f"ref10 misses its promise: {miss}")]
+            yield pytest.param(seed, n, n_a, k, p, marks=marks if miss else [],
+                               id=f"seed{seed}-n{n}-na{n_a}-k{k}-p{p}")
+
+
+@pytest.mark.parametrize("seed, n, n_a, k, p", _recovery_grid())
+def test_ref10_recovers_every_trial_wherever_the_margin_clears_one_sigma(seed, n, n_a, k, p):
+    trials, cfg = 500, ThresholdConfig(p=p)
+    # each seed draws its own bins; seed 7 draws those of the calibration grid above
+    bins = np.random.default_rng(seed).choice(n, k, replace=False)
+    spec = SparseSpec(n=n, components=[(1.0, int(b)) for b in bins])
+    raises = _RAISING_RUNS.get((seed, n, n_a, k, p))
+    if raises is not None:
+        with pytest.raises(raises):
+            run_recovery_trials(spec, n_a, cfg, trials, seed)
+        return
+    got = run_recovery_trials(spec, n_a, cfg, trials, seed)  # every trial solved
+    var = missing_noise_variance(n, n_a, sum_sq_amplitudes(spec))
+    if (n_a * min(spec.amplitudes) - threshold(var, n, cfg)) / math.sqrt(var) >= 1.0:
+        assert max(m.rel_mse_time for m in got) <= 1e-12
+        assert sum(m.support_exact for m in got) / trials >= p - 4 * math.sqrt(
+            p * (1 - p) / trials)
 
 
 def test_variance_calibration_full_sampling_vacuous():
@@ -453,6 +501,16 @@ def test_recovery_run_over_several_chunks_equals_the_per_trial_path(hardware, am
     assert len({m.n_detected for m in got}) > 1  # several solve stacks per chunk
 
 
+def test_noise_model_runs_over_several_chunks_equal_the_per_trial_path():
+    spec = SparseSpec(n=256, components=[(1.0, 10), (0.5, 60), (2.0, 201)])
+    cfg = ThresholdConfig(p=0.9)
+    assert 200 > 2 * (montecarlo._CHUNK_BYTES // (16 * spec.n))  # three chunks or more
+    calibration = run_variance_calibration(spec, 96, cfg, 200, 11)
+    assert calibration == _calibration_per_trial(spec, 96, cfg, 200, 11)
+    assert 0.0 < calibration.p_hat < 1.0  # rows on both sides of the threshold
+    assert run_threshold_xcheck(spec, 96, cfg, 200, 11) == _xcheck_per_trial(spec, 96, cfg, 200, 11)
+
+
 # runs whose trials' DFTs ran on four threads before the run raised: the estimated threshold
 # overflows at trial 4, and trial 3 detects 6 bins from 3 samples
 @pytest.mark.parametrize("spec, n_a, cfg, trials, seed, message", [
@@ -490,19 +548,20 @@ def test_a_dft_workers_error_ends_the_run_and_no_thread_outlives_it(monkeypatch,
     assert threading.active_count() == before
 
 
-def test_recovery_peak_memory_stays_within_calibrations():
+# 2000 trials at 256/128: the draws' positions and values hold 5.9 MiB, which the runners keep
+# whole; one run's (T, N) complex spectra would add 7.8 MiB more, and its |V| 3.9 MiB
+@pytest.mark.parametrize("run, args", [(run_variance_calibration, ()), (run_threshold_xcheck, ()),
+                                       (run_recovery_trials, (False,)),
+                                       (run_recovery_trials, (True,))],
+                         ids=["calibration", "xcheck", "recovery", "recovery-hardware"])
+def test_runner_peak_memory_stays_within_a_fixed_bound(run, args):
     spec = SparseSpec(n=256, components=[(1.0, 10), (1.0, 60), (1.0, 201)])
     cfg = ThresholdConfig(p=0.99)
-    run_variance_calibration(spec, 128, cfg, 2, 7)  # both runs then gather from the kept kernel
-
-    def peak(run, *args):
-        tracemalloc.start()
-        try:
-            run(spec, 128, cfg, 200, 7, *args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    calibration = peak(run_variance_calibration)
-    for hardware in (False, True):
-        assert peak(run_recovery_trials, hardware) <= calibration
+    run_variance_calibration(spec, 128, cfg, 2, 7)  # the traced run gathers from the kept kernel
+    tracemalloc.start()
+    try:
+        run(spec, 128, cfg, 2000, 7, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
