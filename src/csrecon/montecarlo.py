@@ -30,9 +30,11 @@ from .recon_core import (
     _above,
     _dense_dft,
     _levels,
+    _mask_gram,
     _reference_threshold,
     _solve_stack,
     _twiddles,
+    _underdetermined,
     idft,
     missing_noise_variance,
     threshold,
@@ -278,11 +280,15 @@ def _recover(x, pos, values, mags, levels, true) -> list[Metrics]:
     failures = []  # (trial in the chunk, its error)
     for k in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == k)
+        if (error := _underdetermined(n_a, k)) is not None:  # every row fails, before any Gram
+            failures.append((rows[0], error))
+            continue
         bins = np.nonzero(above[rows])[1].reshape(rows.size, k)
         step = max(1, _CHUNK_BYTES // (32 * n_a * max(k, 1)))
         for s in range(0, rows.size, step):
             r, b = rows[s:s + step], bins[s:s + step]
-            amps, failure = _solve_stack(_twiddles(pos[r], b, n), values[r])
+            gram = _mask_gram(pos[r], b, n)
+            amps, failure = _solve_stack(_twiddles(pos[r], b, n), values[r], gram)
             if failure is not None:
                 failures.append((r[failure[0]], failure[1]))
                 break

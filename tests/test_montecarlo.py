@@ -565,3 +565,29 @@ def test_runner_peak_memory_stays_within_a_fixed_bound(run, args):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+# a 1e-3 tone under the paper threshold, which scales with the variance: at N=2048, N_a=16 about
+# every bin passes, against 16 measurements; A would take 0.5 MiB and its K×K Gram 64 MiB
+@pytest.mark.parametrize("run", [
+    lambda spec, cfg: reconstruct(_flood_measurement(spec), cfg, sum_sq_amplitudes(spec)),
+    lambda spec, cfg: reconstruct_hardware(_flood_measurement(spec), cfg, sum_sq_amplitudes(spec)),
+    lambda spec, cfg: run_recovery_trials(spec, 16, cfg, 2, 7),
+    lambda spec, cfg: run_recovery_trials(spec, 16, cfg, 2, 7, hardware=True),
+], ids=["reconstruct", "reconstruct-hardware", "recovery", "recovery-hardware"])
+def test_a_flood_is_refused_before_anything_k_by_k_is_formed(run):
+    spec = SparseSpec(n=2048, components=[(1e-3, 5)])
+    cfg = ThresholdConfig(p=0.99, variant="paper")
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnderdeterminedError,
+                           match=r"^20\d\d detected bins but only 16 measurements$"):
+            run(spec, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _flood_measurement(spec):
+    return sample(synthesize(spec), random_pattern(spec.n, 16, seed=7))

@@ -8,10 +8,19 @@ lines produce byte-identical CLI results; a differing line names the output
 that moved.
 
     python tools/cli_digest.py > digests.txt
+
+With ``--keep DIR`` the commands run in DIR, which must be new or empty, and
+what they wrote stays there, next to each command's stdout and stderr as
+``<name>.stdout`` and ``<name>.stderr``, so that two checkouts' moved outputs
+can be compared digit by digit; the printed lines are the same.
+
+    python tools/cli_digest.py --keep ../digest-new > /dev/null
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -185,20 +194,33 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def main(cli_args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Fingerprint the csrecon CLI.")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="run in DIR, new or empty, and leave the outputs there")
+    keep = parser.parse_args(cli_args).keep
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    lines = []
-    with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
+    lines, streams = [], {}
+    with (contextlib.nullcontext(keep) if keep else
+          tempfile.TemporaryDirectory(prefix="cli_digest_")) as tmp:
+        work = Path(tmp)
+        work.mkdir(parents=True, exist_ok=True)
+        if any(work.iterdir()):  # a file already there would be digested as an output
+            parser.error(f"{work} is not empty")
         for name, argv in COMMANDS:
             done = subprocess.run(
                 [sys.executable, "-m", "csrecon.cli", *argv],
-                cwd=tmp, env=env, capture_output=True, check=False,
+                cwd=work, env=env, capture_output=True, check=False,
             )
+            streams[f"{name}.stdout"], streams[f"{name}.stderr"] = done.stdout, done.stderr
             lines.append(f"{_sha(done.stdout)}  {name}.stdout")
             lines.append(f"{_sha(done.stderr)}  {name}.stderr")
             lines.append(f"{_sha(str(done.returncode).encode())}  {name}.exit={done.returncode}")
-        for path in sorted(Path(tmp).iterdir()):
+        for path in sorted(work.iterdir()):
             lines.append(f"{_sha(path.read_bytes())}  {path.name}")
+        if keep:  # after the digest, which covers only the commands' own files
+            for fname, data in streams.items():
+                (work / fname).write_bytes(data)
     print("\n".join(lines))
     return 0
 
