@@ -8,9 +8,9 @@ one vectorised pass on the calling thread: a numpy restatement of
 seed into its pattern's ``PCG64`` state, and numpy's own permutation then
 draws each pattern, so the seeds and patterns are those of
 :func:`derive_trial_seed` and :func:`~csrecon.signal_model.random_pattern`
-bit for bit. Every runner then takes the trials' |V| rows in chunks of at most
-``_CHUNK_BYTES`` of spectra, each from one stacked initial DFT spread over the
-usable CPUs with the bits of one call per trial; only the draws grow with T.
+bit for bit. The runners only draw and score trials: :mod:`csrecon.recon_core`
+takes the trials' |V| rows (``_spectra``) and recovers them (``_pipeline``) in
+chunks, with the bits of one call per trial; only the draws grow with T.
 """
 
 from __future__ import annotations
@@ -22,20 +22,15 @@ import numpy as np
 
 from .hw_datapath import _fixed_threshold
 from .recon_core import (
-    _BLOCK_BYTES,
     AmpMode,
     DetectionResult,
     ReconstructionResult,
     ThresholdConfig,
     _above,
-    _dense_dft,
     _levels,
-    _mask_gram,
+    _pipeline,
     _reference_threshold,
-    _solve_stack,
-    _twiddles,
-    _underdetermined,
-    idft,
+    _spectra,
     missing_noise_variance,
     threshold,
 )
@@ -158,20 +153,6 @@ def _draws(spec: SparseSpec, n_a: int, trials: int, master_seed: int):
     return x, seeds.tolist(), pos, values
 
 
-# the Monte-Carlo runners' byte budget: a chunk's (trials, N) complex stacks, and each stacked
-# solve's (items, N_a, K) matrices with their conjugates, stay within it
-_CHUNK_BYTES = _BLOCK_BYTES // 16
-
-
-def _spectra(pos: np.ndarray, values: np.ndarray, n: int):
-    """The runners' one initial-DFT call site: the (T, n_a) trials in equal chunks whose
-    (trials, n) spectra fit ``_CHUNK_BYTES``, each as its trial slice and stacked |V| rows."""
-    chunks = -(-len(pos) // max(1, _CHUNK_BYTES // (16 * n)))
-    for i in range(chunks):
-        span = slice(len(pos) * i // chunks, len(pos) * (i + 1) // chunks)
-        yield span, np.abs(_dense_dft(values[span], pos[span], n))
-
-
 def _noise_spectra(spec: SparseSpec, n_a: int, cfg: ThresholdConfig, trials: int, master_seed: int):
     """The noise model's variance and reference threshold, each trial's seed and the trials'
     |V| in ``_spectra`` chunks; refuses the estimate amplitude mode, as the model cannot honour it."""
@@ -256,47 +237,19 @@ def run_recovery_trials(
     Each trial's metrics have the bits of :func:`compute_metrics` on ``reconstruct`` of that
     trial's measurement, or on ``reconstruct_hardware`` with ``hardware``, and a run raises
     the error of the first trial that fails, whichever stage it fails in. The trials take their
-    levels from the pipelines' level step, then run in the runners' chunks (``_spectra``),
-    each with one comparator pass, one stacked solve per detected-bin count, one inverse DFT.
+    levels from the pipelines' level step, then Parts 1–3 from ``recon_core._pipeline``.
     """
     x, _, pos, values = _draws(spec, n_a, trials, master_seed)
     stage = _fixed_threshold if hardware else _reference_threshold
     levels, failure = _levels(values, spec.n, cfg, sum_sq_amplitudes(spec), stage)
     true = set(spec.freq_bins.tolist())
     out = []
-    for span, mags in _spectra(pos[:len(levels)], values[:len(levels)], spec.n):
-        out += _recover(x, pos[span], values[span], mags, levels[span], true)
+    for span, above, signals in _pipeline(pos[:len(levels)], values[:len(levels)], levels, spec.n):
+        out += [_metrics(DetectionResult(t, var, np.flatnonzero(row)), signal, x, true)
+                for row, signal, (var, t, _) in zip(above, signals, levels[span])]
     if failure is not None:
         raise failure
     return out
-
-
-def _recover(x, pos, values, mags, levels, true) -> list[Metrics]:
-    """:func:`run_recovery_trials` on one chunk of trials and |V| rows, against their thresholds."""
-    n, n_a = x.size, pos.shape[1]
-    above = _above(mags, np.array([[t] for _, t, _ in levels]))
-    counts = above.sum(axis=1)
-    spectra = np.zeros(mags.shape, dtype=complex)
-    failures = []  # (trial in the chunk, its error)
-    for k in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == k)
-        if (error := _underdetermined(n_a, k)) is not None:  # every row fails, before any Gram
-            failures.append((rows[0], error))
-            continue
-        bins = np.nonzero(above[rows])[1].reshape(rows.size, k)
-        step = max(1, _CHUNK_BYTES // (32 * n_a * max(k, 1)))
-        for s in range(0, rows.size, step):
-            r, b = rows[s:s + step], bins[s:s + step]
-            gram = _mask_gram(pos[r], b, n)
-            amps, failure = _solve_stack(_twiddles(pos[r], b, n), values[r], gram)
-            if failure is not None:
-                failures.append((r[failure[0]], failure[1]))
-                break
-            spectra[r[:, None], b] = amps
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return [_metrics(DetectionResult(t, var, np.flatnonzero(row)), signal, x, true)
-            for row, signal, (var, t, _) in zip(above, idft(spectra), levels)]
 
 
 @dataclass(frozen=True)
@@ -342,9 +295,12 @@ def run_variance_calibration(
     rows = []
     for span, mags in chunks:
         all_below = ~(_above(mags, t) & noise).any(axis=1)
-        # row by row: np.mean along an axis sums in another order than on one row
-        rows += [CalibrationTrial(i, seeds[i], float(np.mean(row**2)), float(row.max()), bool(b))
-                 for i, (row, b) in enumerate(zip(mags[:, noise], all_below), span.start)]
+        # contiguous: a boolean column mask gives a Fortran-ordered array, which np.mean along
+        # axis 1 sums in another order than one row
+        bins = np.ascontiguousarray(mags[:, noise])
+        power, peak = np.mean(bins**2, axis=1), bins.max(axis=1)
+        rows += [CalibrationTrial(i, seeds[i], float(p), float(m), bool(b))
+                 for i, (p, m, b) in enumerate(zip(power, peak, all_below), span.start)]
     return CalibrationResult(
         trials=tuple(rows),
         threshold=t,

@@ -10,15 +10,16 @@ that changes no bit: the initial DFT keeps the kernel of a length N <= 512 that
 repeats or comes as a stack of trials, at most 4 MiB. The initial DFT's row
 blocks, of one trial or a stack, are shared out over one thread per usable CPU,
 at most four, all joined before it returns, each row with the bits of a lone
-call. The fixed-point counterpart of the threshold stage lives in
-:mod:`csrecon.hw_datapath`.
+call. The Monte-Carlo runners run the same chain on (T, N_a) stacks of trials
+(:func:`_pipeline`), in chunks, each row with the bits of a lone call. The
+fixed-point counterpart of the threshold stage lives in :mod:`csrecon.hw_datapath`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -175,7 +176,8 @@ def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     rows or more, so no block falls to one row. Every trial's blocks are shared out in equal runs
     over one thread per usable CPU, at most ``_MAX_WORKERS`` and no more than blocks or slices;
     the calling thread takes the first. So every row has the bits of a lone call on one thread.
-    The threads end before the call returns, and a worker's error is raised in the caller.
+    The threads end before the call returns; the caller's error is raised, else the
+    lowest-numbered failing run's.
 
     A stack of two trials or more, or the second call in a row, at an n whose n×n kernel fits one
     block (n <= 512) builds and keeps that kernel, read-only, in place of any other; each trial at
@@ -203,27 +205,31 @@ def _dense_dft(values: np.ndarray, positions: np.ndarray, n: int) -> np.ndarray:
     blocks = [(t, n * i // cuts, n * (i + 1) // cuts) for t in range(trials) for i in range(cuts)]
     buf = np.empty((workers, height, n_a), dtype=complex)
     spectra = np.empty((trials, n), dtype=complex)
-    errors = []
 
     def fill(i: int) -> None:  # the i-th of equal runs of blocks, in the i-th slice
-        try:
-            for t, lo, hi in blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]:
-                _fill_rows(spectra[t], lo, hi, buf[i], vals[t], pos[t], kernel)
-        except Exception as exc:  # raised in the caller once every thread has ended
-            errors.append(exc)
+        for t, lo, hi in blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]:
+            _fill_rows(spectra[t], lo, hi, buf[i], vals[t], pos[t], kernel)
 
-    threads = [threading.Thread(target=fill, args=(i,)) for i in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # leaving it joins every worker
+        runs = [pool.submit(fill, i) for i in range(1, workers)]
         fill(0)  # the first run on the calling thread
-    finally:
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-    if errors:
-        raise errors[0]
+    for run in runs:
+        run.result()
     return spectra if np.ndim(values) > 1 else spectra[0]
+
+
+# the Monte-Carlo runners' byte budget: a chunk's (trials, N) complex stacks, and each stacked
+# solve's (items, N_a, K) matrices with their conjugates, stay within it
+_CHUNK_BYTES = _BLOCK_BYTES // 16
+
+
+def _spectra(pos: np.ndarray, values: np.ndarray, n: int):
+    """The runners' one initial-DFT call site: the (T, n_a) trials in equal chunks whose
+    (trials, n) spectra fit ``_CHUNK_BYTES``, each as its trial slice and stacked |V| rows."""
+    chunks = -(-len(pos) // max(1, _CHUNK_BYTES // (16 * n)))
+    for i in range(chunks):
+        span = slice(len(pos) * i // chunks, len(pos) * (i + 1) // chunks)
+        yield span, np.abs(_dense_dft(values[span], pos[span], n))
 
 
 def _usable_cpus() -> int:
@@ -513,7 +519,9 @@ def _detect(meas: Measurement, cfg: ThresholdConfig, sum_sq_amp: float | None, t
 def _solve(meas: Measurement, detection: DetectionResult) -> ReconstructionResult:
     """Parts 2 and 3: least squares on the detected bins, then the inverse DFT. A gives only the
     right-hand side Aᴴv; ``AᴴA`` comes from the sampling mask (:func:`_mask_gram`). More bins
-    than measurements are refused before A or its Gram is formed."""
+    than measurements are refused before A or its Gram is formed. :func:`_pipeline` at T = 1
+    replaces it once the benchmark's spans stop counting ``build_cs_matrix`` and ``ls_solve``
+    (ROADMAP items 2 and 7)."""
     n, positions = meas.pattern.n, meas.pattern.positions
     pos = detection.positions
     if (error := _underdetermined(positions.size, pos.size)) is not None:
@@ -527,6 +535,39 @@ def _solve(meas: Measurement, detection: DetectionResult) -> ReconstructionResul
         time_signal=idft(spectrum),
         detection=detection,
     )
+
+
+def _pipeline(pos: np.ndarray, values: np.ndarray, levels: list, n: int):
+    """Parts 1–3 on (T, N_a) rows with their levels from :func:`_levels`, in :func:`_spectra`'s
+    chunks: per chunk one comparator pass against the rows' threshold column, one stacked solve
+    per detected-bin count (the mask Gram; K <= N_a checked before anything K×K is formed) and
+    one inverse DFT. Yields each chunk's trial slice, detected-bin mask and time signals, every
+    row with the bits of a lone :func:`reconstruct`; raises the first failing row's error."""
+    n_a = pos.shape[1]
+    for span, mags in _spectra(pos, values, n):
+        p, v = pos[span], values[span]
+        above = _above(mags, np.array([[t] for _, t, _ in levels[span]]))
+        counts = above.sum(axis=1)
+        spectra = np.zeros(mags.shape, dtype=complex)
+        failures = []  # (row in the chunk, its error)
+        for k in np.unique(counts).tolist():
+            rows = np.flatnonzero(counts == k)
+            if (error := _underdetermined(n_a, k)) is not None:  # every row fails, before any Gram
+                failures.append((rows[0], error))
+                continue
+            bins = np.nonzero(above[rows])[1].reshape(rows.size, k)
+            step = max(1, _CHUNK_BYTES // (32 * n_a * max(k, 1)))
+            for s in range(0, rows.size, step):
+                r, b = rows[s:s + step], bins[s:s + step]
+                gram = _mask_gram(p[r], b, n)
+                amps, failure = _solve_stack(_twiddles(p[r], b, n), v[r], gram)
+                if failure is not None:
+                    failures.append((r[failure[0]], failure[1]))
+                    break
+                spectra[r[:, None], b] = amps
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        yield span, above, idft(spectra)
 
 
 def reconstruct(

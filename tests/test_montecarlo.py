@@ -495,7 +495,7 @@ def test_estimated_threshold_failure_is_raised_at_its_trial(seed, hardware):
 def test_recovery_run_over_several_chunks_equals_the_per_trial_path(hardware, amp_mode):
     spec = SparseSpec(n=256, components=[(1.0, 10), (0.5, 60), (2.0, 201)])
     cfg = ThresholdConfig(p=0.9, amp_mode=amp_mode)
-    assert 200 > 2 * (montecarlo._CHUNK_BYTES // (16 * spec.n))  # three chunks or more
+    assert 200 > 2 * (recon_core._CHUNK_BYTES // (16 * spec.n))  # three chunks or more
     got = run_recovery_trials(spec, 96, cfg, 200, 11, hardware)
     assert got == _recovery_per_trial(spec, 96, cfg, 200, 11, hardware)
     assert len({m.n_detected for m in got}) > 1  # several solve stacks per chunk
@@ -504,7 +504,7 @@ def test_recovery_run_over_several_chunks_equals_the_per_trial_path(hardware, am
 def test_noise_model_runs_over_several_chunks_equal_the_per_trial_path():
     spec = SparseSpec(n=256, components=[(1.0, 10), (0.5, 60), (2.0, 201)])
     cfg = ThresholdConfig(p=0.9)
-    assert 200 > 2 * (montecarlo._CHUNK_BYTES // (16 * spec.n))  # three chunks or more
+    assert 200 > 2 * (recon_core._CHUNK_BYTES // (16 * spec.n))  # three chunks or more
     calibration = run_variance_calibration(spec, 96, cfg, 200, 11)
     assert calibration == _calibration_per_trial(spec, 96, cfg, 200, 11)
     assert 0.0 < calibration.p_hat < 1.0  # rows on both sides of the threshold

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csrecon import recon_core
-from csrecon.hw_datapath import comparator, reconstruct_hardware, threshold_fixed
+from csrecon.hw_datapath import (_fixed_threshold, comparator, reconstruct_hardware,
+                                 threshold_fixed)
 from csrecon.hw_primitives import lut_log2
 from csrecon.recon_core import (
     AmpMode,
@@ -330,7 +332,7 @@ class TestThreadedBlocks:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(recon_core.threading, "Thread", SecondStartFails)
+        monkeypatch.setattr(threading, "Thread", SecondStartFails)
         build = recon_core._kernel_rows
 
         def slow(out, rows, positions, n):  # keeps the started thread busy past the raise
@@ -441,7 +443,7 @@ class TestStackedCalls:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(recon_core.threading, "Thread", Counted)
+        monkeypatch.setattr(threading, "Thread", Counted)
         monkeypatch.setattr(recon_core, "_usable_cpus", lambda: 32)
         tracemalloc.start()
         try:
@@ -1028,6 +1030,107 @@ class TestStackedCores:
             assert np.array_equal(lone, hermitian(lone))  # exactly Hermitian, up to the sign of 0
             a = build_cs_matrix(n, pattern, bins[i])
             assert np.abs(lone - hermitian(a) @ a).max(initial=0.0) <= _GRAM_BOUND * n_a / n**2
+
+
+@st.composite
+def _pipeline_cases(draw):
+    """A stack for ``recon_core._pipeline``: (spec, n_a, cfg, rows per chunk, trials, seed, the
+    all-zero row, a fault and its row), with N in [2, 512] and three chunks or more."""
+    n = draw(st.integers(2, 512), label="n")
+    bins = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n - 1), unique=True),
+                label="bins")
+    amps = draw(st.lists(st.floats(0.1, 10.0), min_size=len(bins), max_size=len(bins)),
+                label="amps")
+    cfg = ThresholdConfig(p=draw(st.sampled_from([0.5, 0.9, 0.99]), label="p"),
+                          amp_mode=draw(st.sampled_from(AmpMode), label="amp_mode"))
+    per_chunk = draw(st.integers(1, 3), label="per_chunk")
+    trials = draw(st.integers(2 * per_chunk + 1, 4 * per_chunk), label="trials")
+    fault_row = draw(st.integers(1, trials - 1), label="fault_row")
+    free = [r for r in range(trials) if r not in (fault_row, fault_row + 1)]
+    zero_row = draw(st.sampled_from(free), label="zero_row")
+    fault = draw(st.sampled_from([None, None, "twins", "noise", "noise+twins"]), label="fault")
+    return (SparseSpec(n=n, components=list(zip(amps, bins))), draw(st.integers(1, n), label="n_a"),
+            cfg, per_chunk, trials, draw(st.integers(0, 2**31 - 1), label="seed"), zero_row, fault,
+            fault_row)
+
+
+def _pipeline_stack(spec, n_a, trials, seed, zero_row, fault, fault_row):
+    """(T, n_a) positions and the signal there, with one all-zero row, whose support is empty.
+    Each fault replaces a row from ``fault_row`` on: ``twins`` takes even positions only at even
+    N, so |V| is the same at f and f + N/2 and every detected bin brings its twin (a singular
+    system, or too many bins); ``noise`` (or ``twins`` where N_a > N/2) takes loud noise, which
+    floods in oracle mode. ``noise+twins`` puts the flood first, to be raised before the smaller
+    system that is solved first."""
+    n, rng = spec.n, np.random.default_rng(seed)
+    pos = np.array([rng.permutation(n)[:n_a] for _ in range(trials)])
+    values = synthesize(spec)[pos]
+    values[zero_row] = 0.0
+    for kind, row in zip(fault.split("+") if fault else [], range(fault_row, trials)):
+        if kind == "twins" and 2 * n_a <= n and n % 2 == 0:
+            pos[row] = 2 * rng.permutation(n // 2)[:n_a]
+            values[row] = 100.0 * np.exp(2j * np.pi * spec.freq_bins[0] * pos[row] / n)
+        else:
+            values[row] = 1e3 * (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a))
+    return pos, values
+
+
+def _pipeline_against_lone_calls(case, hardware):
+    """Runs ``_pipeline`` on the case's stack over its chunks and checks it against each row's
+    lone pipeline call: every yielded row's detected bins and time signal bit for bit, and a
+    failure as the first failing row's error, type and message. Returns the lone outcomes, up
+    to and with the first failure's (type, message)."""
+    spec, n_a, cfg, per_chunk, trials, seed, zero_row, fault, fault_row = case
+    n, ssa = spec.n, sum_sq_amplitudes(spec)
+    pos, values = _pipeline_stack(spec, n_a, trials, seed, zero_row, fault, fault_row)
+    lone = []
+    for p, v in zip(pos, values):
+        meas = Measurement(v, SamplingPattern(n, p))
+        try:
+            lone.append(reconstruct_hardware(meas, cfg, ssa)[0] if hardware
+                        else reconstruct(meas, cfg, ssa))
+        except ValueError as exc:  # underdetermined and singular systems included
+            lone.append((type(exc), str(exc)))
+            break
+    stage = _fixed_threshold if hardware else recon_core._reference_threshold
+    levels, failure = recon_core._levels(values, n, cfg, ssa, stage)
+    assert failure is None
+    got = []  # (detected-bin mask, time signal) per yielded row
+    with patch.object(recon_core, "_CHUNK_BYTES", 16 * n * per_chunk):
+        assert len(list(recon_core._spectra(pos, values, n))) >= 3
+        try:
+            for span, above, signals in recon_core._pipeline(pos, values, levels, n):
+                assert span.start == len(got)
+                got += zip(above, signals)
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == lone[-1]
+            assert len(got) < len(lone)
+        else:
+            assert len(got) == len(lone) == trials
+    for (above, signal), result in zip(got, lone):
+        assert np.array_equal(np.flatnonzero(above), result.detection.positions)
+        assert signal.tobytes() == result.time_signal.tobytes()
+    if zero_row < len(got):
+        assert not got[zero_row][0].any()
+    return lone
+
+
+class TestPipeline:
+    """``recon_core._pipeline`` runs Parts 1–3 on stacks; each row gets a lone call's result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_pipeline_cases(), hardware=st.booleans())
+    def test_each_row_equals_its_lone_call(self, case, hardware):
+        _pipeline_against_lone_calls(case, hardware)
+
+    @pytest.mark.parametrize("hardware", [False, True])
+    @pytest.mark.parametrize("fault, error", [("twins", SingularSystemError),
+                                              ("noise", UnderdeterminedError),
+                                              ("noise+twins", UnderdeterminedError)])
+    def test_a_later_failing_row_raises_its_lone_calls_error(self, fault, error, hardware):
+        spec = SparseSpec(n=64, components=[(1.0, 3), (1.0, 20)])
+        case = spec, 32, ThresholdConfig(p=0.9), 2, 7, 0, 1, fault, 5
+        lone = _pipeline_against_lone_calls(case, hardware)
+        assert len(lone) == 6 and lone[-1][0] is error
 
 
 class TestSpectralPositioning:
